@@ -10,9 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebra import Degree, Monomial, QQ, SuperPolynomial, T_STEP, ZZ, \
-    mono_degree, prime_field
-from .homology import IntegerMatrix, Window, _ComplexCache, basis_at, \
-    homology_at, homology_table, matrix_rank, rank_exact
+    _is_prime, mono_degree, prime_field
+from .homology import IntegerMatrix, Window, _ComplexCache, homology_at, \
+    homology_table, rank_exact
 from .presentations import Presentation, apply_d, mu, \
     reduced_presentation, stable_presentation
 
@@ -40,10 +40,6 @@ class CertificateReport:
             if witness:
                 lines.append(f"       witness: {witness}")
         return "\n".join(lines)
-
-
-def _is_prime(p):
-    return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
 
 
 def t_class(p: int, N: int) -> SuperPolynomial:

@@ -1,8 +1,11 @@
 """Per-bidegree chain complexes, exact ranks, and integral torsion.
 
-Graded pieces are enumerated by bounded integer search over generator
-degree vectors; matrices of the differential are exact integer matrices;
-torsion comes from Smith normal form with arbitrary precision.
+Graded pieces come from one enumerator over a (q, t) box, pruned by the
+size of the generator degrees: basis_at runs it on one degree and
+window_bases on a whole window.  Matrices of the differential are exact
+integer matrices, assembled by d_matrix from images compiled into
+exponent tuples; apply_d is the term-by-term reference the tests check it
+against.  Torsion comes from Smith normal form with arbitrary precision.
 """
 
 from __future__ import annotations
@@ -10,10 +13,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import gcd
+from operator import add
 
-from .algebra import (CoefficientRing, Degree, Monomial, SuperPolynomial,
-                      T_STEP, ZZ, mono_degree)
-from .presentations import Presentation, apply_d
+from .algebra import CoefficientRing, Degree, Monomial, T_STEP
+from .presentations import Presentation
 
 
 class NonProperGradingError(ValueError):
@@ -53,12 +56,6 @@ class IntegerMatrix:
     cols: int
     entries: dict = field(default_factory=dict)
 
-    def column(self, c):
-        return {r: v for (r, cc), v in self.entries.items() if cc == c}
-
-    def transpose_entries(self):
-        return {(c, r): v for (r, c), v in self.entries.items()}
-
 
 @dataclass(frozen=True)
 class HomologyGroup:
@@ -66,8 +63,10 @@ class HomologyGroup:
     torsion: tuple = ()  # invariant factors > 1, each dividing the next
 
     def __post_init__(self):
-        for a, b in zip(self.torsion, self.torsion[1:]):
-            assert b % a == 0, "invariant factors must form a divisibility chain"
+        if any(d < 2 for d in self.torsion) or any(
+                b % a for a, b in zip(self.torsion, self.torsion[1:])):
+            raise ValueError(f"invariant factors {self.torsion} are not a "
+                             "divisibility chain of integers > 1")
 
     def is_trivial(self):
         return self.free_rank == 0 and not self.torsion
@@ -139,13 +138,24 @@ def _functional_for(pres: Presentation):
     return _functional_cache[key]
 
 
-def basis_at(pres: Presentation, deg: Degree, bound: int | None = None
-             ) -> GradedBasis:
-    """All monomials of exactly the given degree, canonically ordered.
+def _search(pres: Presentation, corners, bound: int | None) -> dict:
+    """Monomials whose (q, t) lies in the box spanned by the corners.
 
-    Without a bound the presentation must be properly graded (a positive
-    functional on even generator degrees must exist); otherwise a
-    NonProperGradingError names a degree-zero product as witness.
+    Returns (q, t, a) -> list of monomials, unsorted.  The walk is finite
+    because of two budgets, each a weight per even generator and an
+    amount left: the positive functional lam (weights lam . deg_k >= 1,
+    amount max lam . corner minus the odd part, so every monomial of a
+    corner's degree is reached) and the exponent bound (weights 1).
+
+    Pruning is by size.  Along a direction u of the (q, t) plane, with
+    amount B of a budget left after generator i, generators k > i add at
+    most B r to u . (q, t), where r = max(0, max_k u . deg_k / w_k), and
+    at least B r' with r' = min(0, min_k u . deg_k / w_k).  Both bounds are
+    linear in the exponent e of generator i, so each budget narrows e to
+    an interval from which the box can still be reached: along q, along t
+    and, for the generator before the last, along the direction the last
+    generator cannot move in, which fixes e when the box is one degree.
+    For the last generator the interval is exact.
     """
     lam = _functional_for(pres)
     if lam is None and bound is None:
@@ -153,139 +163,62 @@ def basis_at(pres: Presentation, deg: Degree, bound: int | None = None
         raise NonProperGradingError(
             f"{pres.name} has infinite graded pieces "
             f"(degree-0 product witness: {witness}); pass an exponent bound")
-
-    n_even = pres.n_even
     ev = [(d.q, d.t, d.a) for d in pres.even_degrees]
-    found = []
-
-    def dfs_lam(i, rem, budget, cap):
-        if budget < 0 or (cap is not None and cap < 0):
-            return
-        if i == n_even:
-            if rem == (0, 0, 0):
-                found.append(tuple(current))
-            return
-        w = lam[0] * ev[i][0] + lam[1] * ev[i][1] + lam[2] * ev[i][2]
-        e_max = budget // w
-        if cap is not None:
-            e_max = min(e_max, cap)
-        r = rem
-        for e in range(e_max + 1):
-            current.append(e)
-            dfs_lam(i + 1, r, budget - e * w,
-                    None if cap is None else cap - e)
-            current.pop()
-            r = (r[0] - ev[i][0], r[1] - ev[i][1], r[2] - ev[i][2])
-        # note: rem passed down already reduced via loop variable r
-
-    def dfs_bounded(i, rem, cap):
-        if cap < 0:
-            return
-        if i == n_even:
-            if rem == (0, 0, 0):
-                found.append(tuple(current))
-            return
-        r = rem
-        for e in range(cap + 1):
-            current.append(e)
-            dfs_bounded(i + 1, r, cap - e)
-            current.pop()
-            r = (r[0] - ev[i][0], r[1] - ev[i][1], r[2] - ev[i][2])
-
-    monos = []
-    odd_indices = range(pres.n_odd)
-    for size in range(pres.n_odd + 1):
-        for S in itertools.combinations(odd_indices, size):
-            rem = deg
-            for j in S:
-                rem = rem - pres.odd_degrees[j]
-            rem_t = (rem.q, rem.t, rem.a)
-            found = []
-            current: list = []
-            if lam is not None:
-                budget = lam[0] * rem.q + lam[1] * rem.t + lam[2] * rem.a
-                cap = None if bound is None else bound - size
-                if bound is not None and cap < 0:
-                    continue
-                dfs_lam(0, rem_t, budget, cap)
-            else:
-                dfs_bounded(0, rem_t, bound - size)
-            for exps in found:
-                monos.append(Monomial(exps, S))
-
-    monos.sort(key=lambda m: (m.even, m.odd))
-    return GradedBasis(deg, monos)
-
-
-def window_bases(pres: Presentation, window: Window,
-                 bound: int | None = None) -> dict:
-    """Bases for every degree in the window by one global enumeration.
-
-    Returns Degree -> sorted monomial list, covering the window extended
-    by one t-step on both sides (the extra rows back the boundary
-    matrices).  Much cheaper than per-degree search when the window is
-    large: the whole monomial slab under the positive functional is
-    walked once and bucketed.
-    """
-    lam = _functional_for(pres)
-    if lam is None and bound is None:
-        witness = _zero_degree_witness(pres) or "(no small witness found)"
-        raise NonProperGradingError(
-            f"{pres.name} has infinite graded pieces "
-            f"(degree-0 product witness: {witness}); pass an exponent bound")
-    tmin, tmax = window.tmin - 1, window.tmax + 1
-    qmin, qmax = window.qmin, window.qmax
-    lam_max = None
+    n = len(ev)
+    weights = []
     if lam is not None:
-        lam_max = max(lam[0] * q + lam[1] * t
-                      for q in (qmin, qmax) for t in (tmin, tmax))
+        weights.append(tuple(lam[0] * q + lam[1] * t + lam[2] * a
+                             for q, t, a in ev))
+        top = max(lam[0] * c.q + lam[1] * c.t + lam[2] * c.a
+                  for c in corners)
+    if bound is not None:
+        weights.append((1,) * n)
 
-    ev = [(d.q, d.t, d.a) for d in pres.even_degrees]
-    n_even = pres.n_even
-    # suffix sign info: can the remaining generators lower/raise q or t?
-    can_lower = [(False, False)] * (n_even + 1)
-    can_raise = [(False, False)] * (n_even + 1)
-    for i in range(n_even - 1, -1, -1):
-        can_lower[i] = (can_lower[i + 1][0] or ev[i][0] < 0,
-                        can_lower[i + 1][1] or ev[i][1] < 0)
-        can_raise[i] = (can_raise[i + 1][0] or ev[i][0] > 0,
-                        can_raise[i + 1][1] or ev[i][1] > 0)
+    def limits(ws, i):
+        # rows (u, v, edge, s, k, D, N): e k >= s ((edge - u q - v t) D
+        # - B N) says that generators i.. can still move u q + v t to the
+        # box edge on side s; N / D is r (s = 1) or r' (s = -1)
+        dirs = [(1, 0), (0, 1)]
+        if i == n - 2:
+            dirs.append((ev[-1][1], -ev[-1][0]))
+        rows = []
+        for u, v in dirs:
+            ends = [u * c.q + v * c.t for c in corners]
+            for s, edge in ((1, min(ends)), (-1, max(ends))):
+                num, den = 0, 1
+                for g, wk in zip(ev[i + 1:], ws[i + 1:]):
+                    if s * (u * g[0] + v * g[1]) * den > s * num * wk:
+                        num, den = u * g[0] + v * g[1], wk
+                k = s * ((u * ev[i][0] + v * ev[i][1]) * den - ws[i] * num)
+                rows.append((u, v, edge, s, k, den, num))
+        return rows
 
+    table = [[(ws[i], limits(ws, i)) for ws in weights] for i in range(n)]
     buckets: dict = {}
-    current: list = []
 
-    def emit(q, t, a, odd):
-        if qmin <= q <= qmax and tmin <= t <= tmax:
-            deg = Degree(q, t, a)
-            buckets.setdefault(deg, []).append(
-                Monomial(tuple(current), odd))
-
-    def dfs(i, q, t, a, budget, cap, odd):
-        if i == n_even:
-            emit(q, t, a, odd)
-            return
-        if q > qmax and not can_lower[i][0]:
-            return
-        if q < qmin and not can_raise[i][0]:
-            return
-        if t > tmax and not can_lower[i][1]:
-            return
-        if t < tmin and not can_raise[i][1]:
-            return
-        w = None if lam is None else (
-            lam[0] * ev[i][0] + lam[1] * ev[i][1] + lam[2] * ev[i][2])
-        e = 0
-        while True:
-            if cap is not None and e > cap:
-                break
-            if w is not None and budget - e * w < 0:
-                break
-            current.append(e)
-            dfs(i + 1, q + e * ev[i][0], t + e * ev[i][1], a + e * ev[i][2],
-                None if budget is None else budget - e * w,
-                None if cap is None else cap - e, odd)
-            current.pop()
-            e += 1
+    def dfs(i, pos, exps, budgets, odd):
+        q, t, a = pos
+        lo, hi = 0, None
+        for b, (w, rows) in zip(budgets, table[i]):
+            if hi is None or b // w < hi:
+                hi = b // w
+            for u, v, edge, s, k, den, num in rows:
+                rhs = s * ((edge - u * q - v * t) * den - b * num)
+                if k > 0:
+                    lo = max(lo, -(-rhs // k))
+                elif k < 0:
+                    hi = min(hi, rhs // k)
+                elif rhs > 0:
+                    return
+        dq, dt, da = ev[i]
+        for e in range(lo, hi + 1):
+            at = (q + e * dq, t + e * dt, a + e * da)
+            if i == n - 1:
+                buckets.setdefault(at, []).append(Monomial(exps + (e,), odd))
+            else:
+                dfs(i + 1, at, exps + (e,),
+                    [b - e * w for b, (w, _rows) in zip(budgets, table[i])],
+                    odd)
 
     for size in range(pres.n_odd + 1):
         for S in itertools.combinations(range(pres.n_odd), size):
@@ -293,19 +226,54 @@ def window_bases(pres: Presentation, window: Window,
             for j in S:
                 d = pres.odd_degrees[j]
                 q, t, a = q + d.q, t + d.t, a + d.a
-            budget = None if lam is None else \
-                lam_max - lam[0] * q - lam[1] * t - lam[2] * a
-            cap = None if bound is None else bound - size
-            if cap is not None and cap < 0:
+            budgets = []
+            if lam is not None:
+                budgets.append(top - lam[0] * q - lam[1] * t - lam[2] * a)
+            if bound is not None:
+                budgets.append(bound - size)
+            if min(budgets) < 0:
                 continue
-            if budget is not None and lam is not None:
-                dfs(0, q, t, a, budget, cap, S)
-            else:
-                dfs(0, q, t, a, None, cap, S)
+            if n:
+                dfs(0, (q, t, a), (), budgets, S)
+            elif (min(c.q for c in corners) <= q <= max(c.q for c in corners)
+                  and min(c.t for c in corners) <= t
+                  <= max(c.t for c in corners)):
+                buckets.setdefault((q, t, a), []).append(Monomial((), S))
+    return buckets
 
-    for monos in buckets.values():
-        monos.sort(key=lambda m: (m.even, m.odd))
-    return {deg: GradedBasis(deg, monos) for deg, monos in buckets.items()}
+
+def _sorted(monos):
+    return sorted(monos, key=lambda m: (m.even, m.odd))
+
+
+def basis_at(pres: Presentation, deg: Degree, bound: int | None = None
+             ) -> GradedBasis:
+    """All monomials of exactly the given degree, canonically ordered.
+
+    One call of the shared enumerator on the one-degree box, with the
+    lam-budget lam . deg (the a-degree included); the monomials of other
+    a-degrees it meets are dropped.  Without a bound the presentation must
+    be properly graded (a positive functional on even generator degrees
+    must exist); otherwise a NonProperGradingError names a degree-zero
+    product as witness.
+    """
+    found = _search(pres, [deg], bound).get((deg.q, deg.t, deg.a), [])
+    return GradedBasis(deg, _sorted(found))
+
+
+def window_bases(pres: Presentation, window: Window,
+                 bound: int | None = None) -> dict:
+    """Bases for every degree in the window by one enumeration.
+
+    Returns Degree -> sorted monomial list for the nonempty degrees of the
+    window extended by one t-step on both sides (the extra rows back the
+    boundary matrices).  It is the enumerator of basis_at run once on the
+    whole box, so a window costs one pruned walk instead of one per degree.
+    """
+    corners = [Degree(q, t) for q in (window.qmin, window.qmax)
+               for t in (window.tmin - 1, window.tmax + 1)]
+    return {Degree(*key): GradedBasis(Degree(*key), _sorted(monos))
+            for key, monos in _search(pres, corners, bound).items()}
 
 
 def d_matrix(pres: Presentation, deg: Degree, bound: int | None = None,
@@ -314,22 +282,32 @@ def d_matrix(pres: Presentation, deg: Degree, bound: int | None = None,
     """Matrix of the differential from degree deg to degree deg - t_step.
 
     Columns are indexed by the basis at deg, rows by the basis one
-    t-degree down; entries are exact integers.
+    t-degree down; entries are exact integers.  Every d(xi_j) is purely
+    even, so d(x^e xi_S) is the sum over the l-th odd factor j of S of
+    (-1)^l c x^(e+f) xi_(S-j), with c x^f running over the terms of
+    d(xi_j).  The images are compiled once per call into (c, f) pairs and
+    the rows looked up by (even, odd) tuples.  apply_d computes the same
+    images through SuperPolynomial products; it is the tests' reference.
     """
     if src is None:
         src = basis_at(pres, deg, bound)
     if dst is None:
         dst = basis_at(pres, deg - T_STEP, bound)
-    index = {m: i for i, m in enumerate(dst.monomials)}
+    images = [[(c, m.even) for m, c in img.terms.items()] if img else []
+              for img in pres.d_images]
+    index = {(m.even, m.odd): r for r, m in enumerate(dst.monomials)}
     entries = {}
-    for c, m in enumerate(src.monomials):
-        image = apply_d(pres, SuperPolynomial.from_monomial(ZZ, m))
-        for mm, v in image.terms.items():
-            r = index.get(mm)
-            if r is None:
-                # can only happen under truncation by an exponent bound
-                continue
-            entries[(r, c)] = v
+    for col, m in enumerate(src.monomials):
+        even, odd = m.even, m.odd
+        for l, j in enumerate(odd):
+            rest = odd[:l] + odd[l + 1:]
+            sign = -1 if l % 2 else 1
+            for c, f in images[j]:
+                r = index.get((tuple(map(add, even, f)), rest))
+                # a missing row comes from truncation by an exponent bound
+                # or from an inhomogeneous image
+                if r is not None:
+                    entries[(r, col)] = sign * c
     return IntegerMatrix(len(dst.monomials), len(src.monomials), entries)
 
 
@@ -671,40 +649,39 @@ class HomologyTable:
         bound = None
         pres_name = "?"
         groups = {}
+        lineno = 0
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if raw.strip().startswith("# presentation:"):
                 pres_name = raw.split(":", 1)[1].strip()
             if not line:
                 continue
-            if line.startswith("coeff="):
-                ring = _parse_ring(line[len("coeff="):])
-                continue
-            if line.startswith("window="):
-                spec = line[len("window="):]
-                qpart, tpart = spec.split(",")
-                qlo, qhi = qpart[2:].split("..")
-                tlo, thi = tpart[2:].split("..")
-                window = Window(int(qlo), int(qhi), int(tlo), int(thi))
-                continue
-            if line.startswith("bound="):
-                bound = int(line[len("bound="):])
-                continue
-            fields = dict(kv.strip().split("=", 1)
-                          for kv in line.split(","))  # may raise -> reformat
             try:
-                q = int(fields["q"])
-                t = int(fields["t"])
-                rank = int(fields["rank"])
+                if line.startswith("coeff="):
+                    ring = _parse_ring(line[len("coeff="):])
+                elif line.startswith("window="):
+                    qpart, tpart = line[len("window="):].split(",")
+                    if qpart[:2] != "q:" or tpart[:2] != "t:":
+                        raise ValueError("window needs q: and t: ranges")
+                    qlo, qhi = qpart[2:].split("..")
+                    tlo, thi = tpart[2:].split("..")
+                    window = Window(int(qlo), int(qhi), int(tlo), int(thi))
+                elif line.startswith("bound="):
+                    bound = int(line[len("bound="):])
+                else:
+                    fields = dict(kv.strip().split("=", 1)
+                                  for kv in line.split(","))
+                    tor = ()
+                    if "tor" in fields:
+                        tor = tuple(int(x) for x in fields["tor"].split(";"))
+                    groups[Degree(int(fields["q"]), int(fields["t"]))] = \
+                        HomologyGroup(int(fields["rank"]), tor)
             except (KeyError, ValueError) as exc:
-                raise ValueError(f"line {lineno}: malformed record "
-                                 f"{raw!r}") from exc
-            tor = ()
-            if "tor" in fields:
-                tor = tuple(int(x) for x in fields["tor"].split(";"))
-            groups[Degree(q, t)] = HomologyGroup(rank, tor)
+                raise ValueError(f"line {lineno}: malformed line {raw!r} "
+                                 f"({exc})") from exc
         if ring is None or window is None:
-            raise ValueError("missing coeff= or window= header")
+            raise ValueError(f"line {lineno}: input ends without a coeff= "
+                             "or window= header")
         return cls(pres_name, ring, window, groups, bound)
 
 
@@ -724,10 +701,24 @@ def homology_table(pres: Presentation, ring: CoefficientRing, window: Window,
     """homology_at over every degree in the window, deterministically."""
     cache = _ComplexCache(pres, bound, window)
     rank_cache: dict = {}
+    factor_cache: dict = {}
+
+    def factors(deg):
+        if deg not in factor_cache:
+            factor_cache[deg] = smith_normal_form(cache.get_matrix(deg))[0]
+        return factor_cache[deg]
 
     def rk(deg):
         if deg not in rank_cache:
-            rank_cache[deg] = matrix_rank(cache.get_matrix(deg), ring)
+            mat = cache.get_matrix(deg)
+            if ring.is_field:
+                rank_cache[deg] = matrix_rank(mat, ring)
+            elif deg.t <= window.tmax:
+                # inside the window the Smith form also gives the torsion
+                # at deg; its factor count is the rank
+                rank_cache[deg] = len(factors(deg))
+            else:
+                rank_cache[deg] = rank_exact(mat)
         return rank_cache[deg]
 
     groups = {}
@@ -735,14 +726,9 @@ def homology_table(pres: Presentation, ring: CoefficientRing, window: Window,
         n = len(cache.get_basis(deg).monomials)
         if n == 0:
             continue
-        if ring.is_field:
-            free = n - rk(deg) - rk(deg + T_STEP)
-            torsion = ()
-        else:
-            factors = smith_normal_form(cache.get_matrix(deg))[0]
-            torsion = tuple(f for f in factors if f > 1)
-            free = n - len(factors) - rank_exact(
-                cache.get_matrix(deg + T_STEP))
+        torsion = () if ring.is_field else \
+            tuple(f for f in factors(deg) if f > 1)
+        free = n - rk(deg) - rk(deg + T_STEP)
         if free or torsion:
             groups[deg] = HomologyGroup(free, torsion)
     return HomologyTable(pres.name, ring, window, groups, bound)

@@ -33,7 +33,6 @@ class Presentation:
         self.odd_degrees = tuple(odd_degrees)
         self.d_images = tuple(d_images)
         self.homogeneity_violations = []
-        self._functional = None
         if check:
             self._validate()
 
@@ -58,11 +57,13 @@ class Presentation:
                 if got != want:
                     self.homogeneity_violations.append(
                         (self.odd_symbols[j], want, got))
-        # d^2 = 0 holds whenever images are even; assert it anyway
+        # d^2 = 0 holds whenever images are even; check it anyway
         for j in range(self.n_odd):
             xi = SuperPolynomial.from_monomial(
                 ZZ, Monomial((0,) * self.n_even, (j,)))
-            assert apply_d(self, apply_d(self, xi)).is_zero()
+            if not apply_d(self, apply_d(self, xi)).is_zero():
+                raise ValueError(
+                    f"d^2 of {self.odd_symbols[j]} is not zero")
 
     def one(self, ring):
         return SuperPolynomial.one(ring, self.n_even)

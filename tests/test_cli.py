@@ -200,6 +200,18 @@ def test_compare_missing_file(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("model", [
+    "coeff=Q\nwindow=q:0..1,t:0..1\nq=1, t\n",
+    "coeff=Q\nwindow=q:0..1\n",
+])
+def test_compare_malformed_model(tmp_path, capsys, model):
+    model_path = tmp_path / "model.txt"
+    model_path.write_text(model)
+    code, _out, err = run(capsys, "compare", "--model", str(model_path),
+                          "--data", os.path.join(DATA, "table2_T59_F3.txt"))
+    assert code == 2 and "error: line" in err
+
+
 def test_usage_error_exit_code(capsys):
     assert run(capsys, "nonsense")[0] == 2
     assert run(capsys, "homology", "--n", "2")[0] == 2  # missing --tmax

@@ -1,19 +1,24 @@
 """Homology engine: bases, matrices, Smith normal form, tables."""
 
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from koszulknots.algebra import Degree, Monomial, QQ, ZZ, mono_degree, \
-    prime_field
-from koszulknots.homology import (HomologyTable, IntegerMatrix,
+from koszulknots.algebra import Degree, Monomial, QQ, SuperPolynomial, \
+    T_STEP, ZZ, mono_degree, prime_field
+from koszulknots.homology import (HomologyGroup, HomologyTable,
+                                  IntegerMatrix,
                                   NonProperGradingError, Window, basis_at,
                                   d_matrix, euler_characteristic_check,
                                   homology_at, homology_table, rank_exact,
                                   rank_mod_p, smith_normal_form,
                                   stabilized_homology_table, window_bases)
-from koszulknots.presentations import (Presentation, projector_presentation,
+from koszulknots.presentations import (PROJECTOR_SHAPES, Presentation,
+                                       apply_d, projector_presentation,
                                        stable_presentation)
 
 
@@ -94,6 +99,22 @@ def test_snf_known_example():
     assert smith_normal_form(mat)[0] == [2, 6]
 
 
+def test_homology_group_rejects_broken_divisibility_chain():
+    for torsion in ((3, 2), (1, 2), (0, 3)):
+        with pytest.raises(ValueError):
+            HomologyGroup(0, torsion)
+    assert str(HomologyGroup(1, (2, 6))) == "Z + Z/2 + Z/6"
+    # the check is an exception, so it survives python -O
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    code = ("from koszulknots.homology import HomologyGroup\n"
+            "try:\n    HomologyGroup(0, (3, 2))\n"
+            "except ValueError:\n    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n")
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          timeout=60)
+    assert done.returncode == 0
+
+
 # ---------------------------------------------------------------------------
 # graded bases
 
@@ -111,28 +132,120 @@ def test_basis_oracle_stable22():
     assert len(basis_at(pres, deg).monomials) == brute
 
 
-def test_window_bases_match_per_degree():
-    pres = projector_presentation("[12,3]", 2)
-    window = Window(-12, 12, -4, 4)
-    bases = window_bases(pres, window)
-    for t in range(-4, 5):
-        for q in range(-12, 13):
-            deg = Degree(q, t)
-            got = bases.get(deg)
-            want = basis_at(pres, deg)
-            key = lambda m: (m.even, m.odd)
-            assert sorted((got.monomials if got else []), key=key) \
-                == sorted(want.monomials, key=key)
-
-
-def test_non_proper_grading_detected():
-    from koszulknots.algebra import SuperPolynomial
-    pres = Presentation(
+def _degenerate():
+    """u and v have opposite degrees: no positive functional exists."""
+    return Presentation(
         "degenerate", ("u", "v"), (Degree(2, 0), Degree(-2, 0)),
         ("e",), (Degree(0, 1),),
         [SuperPolynomial.zero(ZZ, 2)])
+
+
+def _edges(window):
+    """Degrees on the edges of a window's enumeration box, where a wrong
+    prune would drop monomials first."""
+    return [Degree(q, t) for t in range(window.tmin - 1, window.tmax + 2)
+            for q in range(window.qmin, window.qmax + 1)
+            if t in (window.tmin - 1, window.tmax + 1)
+            or q in (window.qmin, window.qmax)]
+
+
+def _box(window, a_degrees=(0,)):
+    return [Degree(q, t, a) for a in a_degrees
+            for t in range(window.tmin - 1, window.tmax + 2)
+            for q in range(window.qmin, window.qmax + 1)]
+
+
+def test_window_bases_match_per_degree():
+    hook_window = Window(-60, 60, -12, 12)  # the hook_Q benchmark window
+    cases = [
+        (projector_presentation("[12,3]", 2), Window(-12, 12, -4, 4), None,
+         _box(Window(-12, 12, -4, 4))),
+        (projector_presentation("[12,3]", 3), hook_window, None,
+         _edges(hook_window)),
+        # HOMFLY: odd generators carry a = 2, so pieces at a != 0 exist
+        (projector_presentation("[123]", "homfly"), Window(-16, 16, -3, 3),
+         None, _box(Window(-16, 16, -3, 3), (0, 2, 4, 6))),
+        # no positive functional: the exponent bound alone keeps it finite
+        (_degenerate(), Window(-10, 10, -1, 2), 5, _box(Window(-10, 10, -1, 2))),
+    ]
+    key = lambda m: (m.even, m.odd)
+    for pres, window, bound, degrees in cases:
+        bases = window_bases(pres, window, bound)
+        assert all(window.qmin <= d.q <= window.qmax
+                   and window.tmin - 1 <= d.t <= window.tmax + 1
+                   and b.monomials for d, b in bases.items())
+        for deg in degrees:
+            got = bases.get(deg)
+            want = basis_at(pres, deg, bound)
+            assert sorted((got.monomials if got else []), key=key) \
+                == sorted(want.monomials, key=key), (pres.name, deg)
+
+
+@pytest.mark.parametrize("pres,window,bound", [
+    (_degenerate(), Window(-10, 10, -1, 2), 5),
+    (projector_presentation("[12,3]", "homfly"), Window(-16, 16, -3, 3), 4),
+    (projector_presentation("[13,2]", 3, "displayed"), Window(-16, 16, -3, 3),
+     5),
+    (stable_presentation(4, 3), Window(0, 30, 0, 10), 6),
+], ids=lambda v: getattr(v, "name", ""))
+def test_window_bases_match_brute_force(pres, window, bound):
+    """Bounded enumeration against every monomial of total exponent at most
+    the bound, listed without any pruning."""
+    want = {}
+    for even in itertools.product(range(bound + 1), repeat=pres.n_even):
+        for size in range(pres.n_odd + 1):
+            for odd in itertools.combinations(range(pres.n_odd), size):
+                m = Monomial(even, odd)
+                deg = mono_degree(m, pres)
+                if (m.total_exponent() <= bound
+                        and window.qmin <= deg.q <= window.qmax
+                        and window.tmin - 1 <= deg.t <= window.tmax + 1):
+                    want.setdefault(deg, []).append(m)
+    got = window_bases(pres, window, bound)
+    assert {d: b.monomials for d, b in got.items()} \
+        == {d: sorted(ms, key=lambda m: (m.even, m.odd))
+            for d, ms in want.items()}
+
+
+def test_non_proper_grading_detected():
     with pytest.raises(NonProperGradingError):
-        basis_at(pres, Degree(0, 0))
+        basis_at(_degenerate(), Degree(0, 0))
+
+
+def _d_matrix_cases():
+    cases = [(projector_presentation(shape, N), None, Window(-16, 16, -4, 4))
+             for shape in PROJECTOR_SHAPES for N in (2, 3)]
+    cases += [(projector_presentation(shape, 0), None, Window(-16, 16, -4, 4))
+              for shape in ("[123]", "[1,2,3]", "[12,3]", "[13,2]")]
+    # truncated by the bound, and with an inhomogeneous xi0 image
+    cases.append((projector_presentation("[13,2]", 3, "displayed"), 5,
+                  Window(-16, 16, -4, 4)))
+    cases.append((stable_presentation(4, 3), None, Window(0, 30, 0, 10)))
+    return cases
+
+
+@pytest.mark.parametrize("pres,bound,window", _d_matrix_cases(),
+                         ids=lambda v: getattr(v, "name", ""))
+def test_d_matrix_matches_apply_d(pres, bound, window):
+    """Every column of the compiled differential against apply_d."""
+    truncated = 0
+    for deg in window.degrees():
+        mat = d_matrix(pres, deg, bound)
+        src = basis_at(pres, deg, bound).monomials
+        dst = basis_at(pres, deg - T_STEP, bound).monomials
+        assert (mat.rows, mat.cols) == (len(dst), len(src))
+        row = {m: r for r, m in enumerate(dst)}
+        want = {}
+        for col, m in enumerate(src):
+            image = apply_d(pres, SuperPolynomial.from_monomial(ZZ, m))
+            for target, v in image.terms.items():
+                if target in row:
+                    want[(row[target], col)] = v
+                elif mono_degree(target, pres) == deg - T_STEP:
+                    truncated += 1
+        assert mat.entries == want, (pres.name, deg)
+    # a bounded case has targets of the right degree past the bound
+    assert bool(truncated) == (bound is not None)
 
 
 def test_d_matrix_squares_to_zero():
@@ -223,6 +336,36 @@ def test_serialize_parse_round_trip():
             for d, g in back.groups.items()} \
         == {d: (g.free_rank, tuple(g.torsion))
             for d, g in table.groups.items()}
+
+
+@pytest.mark.parametrize("text,lineno", [
+    ("coeff=Q\nwindow=q:0..1,t:0..1\nq=1, t\n", 3),
+    ("coeff=Q\nwindow=q:0..1,t:0..1\nq=1, t=0, rank=x\n", 3),
+    ("coeff=Q\nwindow=q:0..1,t:0..1\nq=1, t=0\n", 3),
+    ("coeff=Q\nwindow=q:0..1,t:0..1\nq=1, t=0, rank=0, tor=3;2\n", 3),
+    ("coeff=Q\nwindow=q:0..1,t:0..1\nbound=many\n", 3),
+    ("coeff=F4\n", 1),
+    ("coeff=Q\nwindow=q:0..1\n", 2),
+    ("coeff=Q\nwindow=q:0..1,x:0..1\n", 2),
+    ("# comment\ncoeff=Q\n\n", 3),
+    ("", 0),
+])
+def test_table_parse_errors_name_the_line(text, lineno):
+    with pytest.raises(ValueError, match=f"^line {lineno}:"):
+        HomologyTable.parse(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(alphabet="qtrankorbudcefwiQZF=,;.:-0123456789 #",
+                        max_size=24), max_size=5))
+def test_table_parse_fuzz(lines):
+    """Any input parses or fails with a ValueError naming a line."""
+    text = "coeff=Q\nwindow=q:0..1,t:0..1\n" + "\n".join(lines)
+    for candidate in (text, "\n".join(lines)):
+        try:
+            HomologyTable.parse(candidate)
+        except ValueError as exc:
+            assert str(exc).startswith("line ")
 
 
 def test_stabilized_table_flags_instability():
