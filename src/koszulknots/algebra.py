@@ -94,6 +94,17 @@ class CoefficientRing:
     def __str__(self):
         return {"Q": "Q", "Z": "Z"}.get(self.kind, f"F{self.p}")
 
+    @classmethod
+    def parse(cls, tag: str) -> "CoefficientRing":
+        """Inverse of str: Q, Z or F<p>; Fp:<p> is also accepted."""
+        tag = tag.strip()
+        if tag in ("Q", "Z"):
+            return cls(tag)
+        if tag.startswith("F"):
+            return cls("Fp", int(tag[3:] if tag.startswith("Fp:")
+                                 else tag[1:]))
+        raise ValueError(f"unknown coefficient tag {tag!r}")
+
 
 QQ = CoefficientRing("Q")
 ZZ = CoefficientRing("Z")

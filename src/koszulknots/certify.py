@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 
 from .algebra import Degree, Monomial, QQ, SuperPolynomial, T_STEP, ZZ, \
     _is_prime, mono_degree, prime_field
-from .homology import IntegerMatrix, Window, _ComplexCache, homology_at, \
-    homology_table, rank_exact
+from .homology import GradedBasis, IntegerMatrix, Window, d_matrix, \
+    homology_at, homology_table, rank_exact, window_bases
 from .presentations import Presentation, apply_d, mu, \
     reduced_presentation, stable_presentation
 
@@ -261,7 +261,6 @@ def generator_saturation_check(n: int, N: int,
         raise ValueError(f"desk scale is n <= 4, N <= 3; got n={n}, N={N}")
     pres = stable_presentation(n, N)
     report = CertificateReport(f"generators:{n},{N}")
-    cache = _ComplexCache(pres, None)
 
     # products of x's and mu's with total degree in the window
     gens = [(pres.gen(f"x{k}"), pres.even_degrees[k]) for k in range(n)]
@@ -285,17 +284,18 @@ def generator_saturation_check(n: int, N: int,
             products.setdefault(nd, []).append(np_)
             frontier.append((np_, nd, idx))
 
+    bases = window_bases(pres, window)
+    table = homology_table(pres, QQ, window)
     mismatches = []
     for deg in window.degrees():
-        basis = cache.get_basis(deg)
-        m = len(basis.monomials)
-        if m == 0:
-            continue
-        m_out = cache.get_matrix(deg)
-        m_in = cache.get_matrix(deg + T_STEP)
-        h_rank = m - rank_exact(m_out) - rank_exact(m_in)
+        h_rank = table.rank_at(deg)
         if h_rank == 0:
             continue
+        basis = bases[deg]
+        m = len(basis.monomials)
+        above = deg + T_STEP
+        m_in = d_matrix(pres, above, src=bases.get(above)
+                        or GradedBasis(above, []), dst=basis)
         index = {mono: i for i, mono in enumerate(basis.monomials)}
         cand = products.get(deg, [])
         # rank of [image | candidates] minus rank of image = span in homology

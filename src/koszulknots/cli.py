@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .algebra import CoefficientRing, Degree, QQ, ZZ, prime_field
+from .algebra import CoefficientRing
 from .homology import HomologyTable, NonProperGradingError, Window, \
     homology_table
 from .interface import TableFormatError, compare, parse_table
@@ -19,19 +19,6 @@ from .series import ExpansionError, SeriesWindow, assemble_torus2, \
     assemble_torus3, expand, formula, identity_check, list_formulas, \
     projector_series
 from . import certify
-
-
-def _ring(tag: str) -> CoefficientRing:
-    tag = tag.strip()
-    if tag == "Q":
-        return QQ
-    if tag == "Z":
-        return ZZ
-    if tag.startswith("Fp:"):
-        return prime_field(int(tag[3:]))
-    if tag.startswith("F"):
-        return prime_field(int(tag[1:]))
-    raise argparse.ArgumentTypeError(f"unknown coefficient ring {tag!r}")
 
 
 def _parse_N(tag: str):
@@ -51,8 +38,8 @@ def _build_parser():
     h.add_argument("--n", type=int, help="number of strands (stable model)")
     h.add_argument("--N", type=_parse_N, default=2,
                    help="SL(N) rank, 0 for d_0, or 'homfly'")
-    h.add_argument("--coeff", type=_ring, default=QQ,
-                   help="Q, Z, or Fp:<p>")
+    h.add_argument("--coeff", default="Q",
+                   help="Q, Z, F<p> or Fp:<p>")
     h.add_argument("--reduced", action="store_true")
     h.add_argument("--tableau", choices=PROJECTOR_SHAPES,
                    help="projector algebra instead of the stable model")
@@ -119,7 +106,8 @@ def _cmd_homology(args) -> int:
         pres = (reduced_presentation if args.reduced
                 else stable_presentation)(args.n, args.N)
     window = Window(args.qmin, args.qmax, args.tmin, args.tmax)
-    table = homology_table(pres, args.coeff, window, bound=args.bound)
+    table = homology_table(pres, CoefficientRing.parse(args.coeff), window,
+                           bound=args.bound)
     text = table.serialize()
     if args.out:
         with open(args.out, "w") as fh:

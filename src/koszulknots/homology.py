@@ -6,6 +6,9 @@ window_bases on a whole window.  Matrices of the differential are exact
 integer matrices, assembled by d_matrix from images compiled into
 exponent tuples; apply_d is the term-by-term reference the tests check it
 against.  Torsion comes from Smith normal form with arbitrary precision.
+homology_table is the one homology path: it enumerates its window once
+and computes each matrix, rank and Smith form once; homology_at is
+homology_table on a one-degree window.
 """
 
 from __future__ import annotations
@@ -63,6 +66,8 @@ class HomologyGroup:
     torsion: tuple = ()  # invariant factors > 1, each dividing the next
 
     def __post_init__(self):
+        if self.free_rank < 0:
+            raise ValueError(f"negative free rank {self.free_rank}")
         if any(d < 2 for d in self.torsion) or any(
                 b % a for a, b in zip(self.torsion, self.torsion[1:])):
             raise ValueError(f"invariant factors {self.torsion} are not a "
@@ -548,66 +553,6 @@ def smith_normal_form(mat: IntegerMatrix, transforms: bool = False):
 # homology
 
 
-def homology_at(pres: Presentation, deg: Degree, ring: CoefficientRing,
-                bound: int | None = None, _cache=None) -> HomologyGroup:
-    """Homology of the differential at one degree over the chosen ring.
-
-    Over Z the free rank comes from exact ranks.  Torsion is attributed to
-    the degree of the extra mod-p cycles it produces: an invariant factor
-    d > 1 of the outgoing matrix at deg means a d-torsion class reported
-    at deg (its cokernel representative lives one t lower; the kernel of
-    the outgoing map is saturated, so Smith normal form decides it).
-    """
-    get = _cache.get_matrix if _cache else \
-        (lambda d: d_matrix(pres, d, bound))
-    get_basis = _cache.get_basis if _cache else \
-        (lambda d: basis_at(pres, d, bound))
-
-    n = len(get_basis(deg).monomials)
-    if n == 0:
-        return HomologyGroup(0)
-    m_out = get(deg)
-    m_in = get(deg + T_STEP)
-    if ring.is_field:
-        free = n - matrix_rank(m_out, ring) - matrix_rank(m_in, ring)
-        return HomologyGroup(free)
-    factors = smith_normal_form(m_out)[0]
-    torsion = tuple(f for f in factors if f > 1)
-    free = n - len(factors) - rank_exact(m_in)
-    return HomologyGroup(free, torsion)
-
-
-class _ComplexCache:
-    """Shared bases/matrices/ranks while filling a window."""
-
-    def __init__(self, pres, bound, window=None):
-        self.pres = pres
-        self.bound = bound
-        self.bases: dict = {}
-        self.window = window
-        if window is not None:
-            self.bases = dict(window_bases(pres, window, bound))
-        self.matrices: dict = {}
-
-    def get_basis(self, deg):
-        if deg not in self.bases:
-            if self.window is not None and \
-                    self.window.tmin - 1 <= deg.t <= self.window.tmax + 1 \
-                    and self.window.qmin <= deg.q <= self.window.qmax:
-                # enumerated globally and found empty
-                self.bases[deg] = GradedBasis(deg, [])
-            else:
-                self.bases[deg] = basis_at(self.pres, deg, self.bound)
-        return self.bases[deg]
-
-    def get_matrix(self, deg):
-        if deg not in self.matrices:
-            self.matrices[deg] = d_matrix(
-                self.pres, deg, self.bound,
-                src=self.get_basis(deg), dst=self.get_basis(deg - T_STEP))
-        return self.matrices[deg]
-
-
 @dataclass
 class HomologyTable:
     """Nonzero homology groups per degree inside a finite window."""
@@ -658,7 +603,7 @@ class HomologyTable:
                 continue
             try:
                 if line.startswith("coeff="):
-                    ring = _parse_ring(line[len("coeff="):])
+                    ring = CoefficientRing.parse(line[len("coeff="):])
                 elif line.startswith("window="):
                     qpart, tpart = line[len("window="):].split(",")
                     if qpart[:2] != "q:" or tpart[:2] != "t:":
@@ -685,45 +630,65 @@ class HomologyTable:
         return cls(pres_name, ring, window, groups, bound)
 
 
-def _parse_ring(tag: str) -> CoefficientRing:
-    tag = tag.strip()
-    if tag == "Q":
-        return CoefficientRing("Q")
-    if tag == "Z":
-        return CoefficientRing("Z")
-    if tag.startswith("F"):
-        return CoefficientRing("Fp", int(tag[1:]))
-    raise ValueError(f"unknown coefficient tag {tag!r}")
-
-
 def homology_table(pres: Presentation, ring: CoefficientRing, window: Window,
                    bound: int | None = None) -> HomologyTable:
-    """homology_at over every degree in the window, deterministically."""
-    cache = _ComplexCache(pres, bound, window)
+    """Homology over the chosen ring at every degree of the window.
+
+    One enumeration (window_bases) backs all degrees; each matrix of the
+    differential is assembled once and its rank, or over Z its Smith
+    form, computed once.  Over Z the free rank comes from exact ranks.
+    Torsion is attributed to the degree of the extra mod-p cycles it
+    produces: an invariant factor d > 1 of the outgoing matrix at deg
+    means a d-torsion class reported at deg (its cokernel representative
+    lives one t lower; the kernel of the outgoing map is saturated, so
+    Smith normal form decides it).
+
+    An exponent bound truncates the complex to the monomials within it.
+    That is the quotient by the monomials past the bound, a subcomplex
+    because d never lowers the total exponent, unless some d(xi_j) has a
+    constant term; such a presentation is rejected with a ValueError.
+    """
+    if bound is not None:
+        for sym, img in zip(pres.odd_symbols, pres.d_images):
+            if img and any(m.is_one() for m in img.terms):
+                raise ValueError(
+                    f"{pres.name}: d({sym}) has a constant term, so the "
+                    "matrices truncated by an exponent bound do not form a "
+                    "complex; compute without a bound")
+    bases = window_bases(pres, window, bound)
+    matrices: dict = {}
     rank_cache: dict = {}
     factor_cache: dict = {}
 
+    def basis(deg):
+        return bases.get(deg) or GradedBasis(deg, [])
+
+    def matrix(deg):
+        if deg not in matrices:
+            matrices[deg] = d_matrix(pres, deg, bound, src=basis(deg),
+                                     dst=basis(deg - T_STEP))
+        return matrices[deg]
+
     def factors(deg):
         if deg not in factor_cache:
-            factor_cache[deg] = smith_normal_form(cache.get_matrix(deg))[0]
+            factor_cache[deg] = smith_normal_form(matrix(deg))[0]
         return factor_cache[deg]
 
     def rk(deg):
         if deg not in rank_cache:
-            mat = cache.get_matrix(deg)
             if ring.is_field:
-                rank_cache[deg] = matrix_rank(mat, ring)
+                rank_cache[deg] = matrix_rank(matrix(deg), ring)
             elif deg.t <= window.tmax:
                 # inside the window the Smith form also gives the torsion
                 # at deg; its factor count is the rank
                 rank_cache[deg] = len(factors(deg))
             else:
-                rank_cache[deg] = rank_exact(mat)
+                rank_cache[deg] = rank_exact(matrix(deg))
         return rank_cache[deg]
 
     groups = {}
     for deg in window.degrees():
-        n = len(cache.get_basis(deg).monomials)
+        n = len(basis(deg).monomials)
         if n == 0:
             continue
         torsion = () if ring.is_field else \
@@ -732,6 +697,19 @@ def homology_table(pres: Presentation, ring: CoefficientRing, window: Window,
         if free or torsion:
             groups[deg] = HomologyGroup(free, torsion)
     return HomologyTable(pres.name, ring, window, groups, bound)
+
+
+def homology_at(pres: Presentation, deg: Degree, ring: CoefficientRing,
+                bound: int | None = None) -> HomologyGroup:
+    """Homology at one degree: homology_table on the one-degree window.
+
+    Tables are slices at a = 0, so deg must have a-degree 0.
+    """
+    if deg.a:
+        raise ValueError(f"homology is computed at a = 0 only, got {deg}")
+    window = Window(deg.q, deg.q, deg.t, deg.t)
+    return homology_table(pres, ring, window, bound).groups.get(
+        deg, HomologyGroup(0))
 
 
 def stabilized_homology_table(pres: Presentation, ring: CoefficientRing,
@@ -756,11 +734,12 @@ def euler_characteristic_check(pres: Presentation, ring: CoefficientRing,
     """Alternating sums of chain dims and homology ranks agree at fixed q."""
     chain = 0
     hom = 0
-    cache = _ComplexCache(pres, None)
+    column = window_bases(pres, Window(q, q, window.tmin, window.tmax))
     table = homology_table(pres, ring, window)
     for t in range(window.tmin, window.tmax + 1):
         deg = Degree(q, t)
-        chain += (-1) ** t * len(cache.get_basis(deg).monomials)
+        if deg in column:
+            chain += (-1) ** t * len(column[deg].monomials)
         hom += (-1) ** t * table.rank_at(deg)
     # boundary terms vanish when the window covers the whole q-column
     return chain == hom

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebra import CoefficientRing, Degree
-from .homology import HomologyTable, _parse_ring
+from .homology import HomologyTable
 
 
 class TableFormatError(ValueError):
@@ -73,7 +73,12 @@ def parse_table(text: str) -> ExternalTable:
         if not line:
             continue
         if line.startswith("coeff="):
-            table.ring = _parse_ring(line[len("coeff="):])
+            try:
+                table.ring = CoefficientRing.parse(line[len("coeff="):])
+            except ValueError as exc:
+                raise TableFormatError(
+                    f"line {lineno}: bad coeff header {line!r} ({exc})"
+                ) from None
             continue
         if line.startswith("knot="):
             try:

@@ -625,10 +625,7 @@ _SHAPE_TAGS = {"[1]": "sym1", "[12]": "sym2", "[1,2]": "antisym2",
 
 def _build_catalogue():
     cat = {}
-    for n in (1, 2, 3):
-        cat[f"P{n}_dN"] = {"params": ("N",),
-                           "build": lambda N, n=n: stable_series(n, N)}
-    for n in (4, 5):
+    for n in (1, 2, 3, 4, 5):
         cat[f"P{n}_dN"] = {"params": ("N",),
                            "build": lambda N, n=n: stable_series(n, N)}
     for n in (2, 3, 4, 5):
@@ -641,8 +638,6 @@ def _build_catalogue():
         for variant in ("homfly", "dN", "d0"):
             for reduced in (False, True):
                 if variant == "d0" and (not reduced or "3" not in shape):
-                    continue
-                if variant == "d0" and shape in ("[1]", "[12]", "[1,2]"):
                     continue
                 name = f"P_{tag}" + ("_red" if reduced else "") + f"_{variant}"
                 params = ("N",) if variant == "dN" else ()

@@ -74,6 +74,22 @@ def test_ring_equality():
     assert QQ != ZZ
 
 
+@pytest.mark.parametrize("ring", [QQ, ZZ] + [prime_field(p)
+                                             for p in (2, 3, 5, 7)],
+                         ids=str)
+def test_ring_parse_inverts_str(ring):
+    assert CoefficientRing.parse(str(ring)) == ring
+    assert CoefficientRing.parse(f" {ring} ") == ring
+    if ring.kind == "Fp":
+        assert CoefficientRing.parse(f"Fp:{ring.p}") == ring
+
+
+@pytest.mark.parametrize("tag", ["F4", "Fx", "R", "", "Fp:", "q"])
+def test_ring_parse_rejects_bad_tags(tag):
+    with pytest.raises(ValueError):
+        CoefficientRing.parse(tag)
+
+
 # ---------------------------------------------------------------------------
 # monomials and the Koszul sign
 

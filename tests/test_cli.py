@@ -44,6 +44,24 @@ def test_homology_projector_with_bound(capsys):
     assert "rank=" in out
 
 
+def test_homology_coeff_tags_agree(capsys):
+    args = ("homology", "--n", "3", "--N", "2", "--tmax", "6",
+            "--qmax", "16", "--coeff")
+    code, out_fp, _err = run(capsys, *args, "Fp:3")
+    assert code == 0 and "coeff=F3" in out_fp
+    assert run(capsys, *args, "F3") == (0, out_fp, "")
+    code, _out, err = run(capsys, *args, "R")
+    assert code == 2 and "unknown coefficient tag" in err
+
+
+def test_homology_bound_with_constant_term_is_rejected(capsys):
+    code, out, err = run(capsys, "homology", "--tableau", "[1,2,3]",
+                         "--N", "2", "--bound", "6", "--qmin", "-20",
+                         "--qmax", "20", "--tmin", "-5", "--tmax", "5")
+    assert code == 2 and out == ""
+    assert "constant term" in err
+
+
 def test_homology_usage_errors(capsys):
     code, _out, err = run(capsys, "homology", "--tmax", "4", "--qmax", "8")
     assert code == 2 and "--n is required" in err

@@ -103,13 +103,16 @@ def test_homology_group_rejects_broken_divisibility_chain():
     for torsion in ((3, 2), (1, 2), (0, 3)):
         with pytest.raises(ValueError):
             HomologyGroup(0, torsion)
+    with pytest.raises(ValueError, match="negative free rank"):
+        HomologyGroup(-1)
     assert str(HomologyGroup(1, (2, 6))) == "Z + Z/2 + Z/6"
-    # the check is an exception, so it survives python -O
+    # the checks are exceptions, so they survive python -O
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     code = ("from koszulknots.homology import HomologyGroup\n"
-            "try:\n    HomologyGroup(0, (3, 2))\n"
-            "except ValueError:\n    raise SystemExit(0)\n"
-            "raise SystemExit(1)\n")
+            "for args in ((0, (3, 2)), (-1,)):\n"
+            "    try:\n        HomologyGroup(*args)\n"
+            "    except ValueError:\n        continue\n"
+            "    raise SystemExit(1)\n")
     done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           timeout=60)
     assert done.returncode == 0
@@ -319,11 +322,36 @@ def test_euler_characteristic_full_columns():
 
 
 def test_homology_at_matches_table():
-    pres = stable_presentation(2, 3)
-    table = homology_table(pres, ZZ, Window(0, 16, 0, 6))
-    for deg, g in table.groups.items():
-        single = homology_at(pres, deg, ZZ)
-        assert (single.free_rank, single.torsion) == (g.free_rank, g.torsion)
+    """Every degree of the window, zero cells included."""
+    cases = [
+        (stable_presentation(2, 3), ZZ, Window(0, 16, 0, 6), None),
+        (stable_presentation(3, 2), QQ, Window(0, 18, 0, 8), None),
+        (stable_presentation(3, 2), prime_field(3), Window(0, 18, 0, 8),
+         None),
+        (projector_presentation("[13,2]", 3, "displayed"), ZZ,
+         Window(-12, 12, -3, 3), 5),
+    ]
+    for pres, ring, window, bound in cases:
+        table = homology_table(pres, ring, window, bound)
+        for deg in window.degrees():
+            single = homology_at(pres, deg, ring, bound)
+            g = table.groups.get(deg, HomologyGroup(0))
+            assert (single.free_rank, single.torsion) \
+                == (g.free_rank, g.torsion), (pres.name, ring, deg)
+        with pytest.raises(ValueError, match="a = 0"):
+            homology_at(pres, Degree(0, 0, 1), ring, bound)
+
+
+def test_bounded_table_rejects_constant_differential_term():
+    """d(theta2) = 1 in [1,2,3] at N=2: truncated matrices do not compose
+    to zero and would give negative free ranks, so a bound is refused."""
+    pres = projector_presentation("[1,2,3]", 2)
+    with pytest.raises(ValueError, match=r"d\(theta2\) has a constant term"):
+        homology_table(pres, QQ, Window(-20, 20, -5, 5), bound=6)
+    with pytest.raises(ValueError, match="constant term"):
+        homology_at(pres, Degree(-12, -5), QQ, bound=6)
+    # without a bound the table is exact
+    homology_table(pres, QQ, Window(-20, 20, -5, 5))
 
 
 def test_serialize_parse_round_trip():

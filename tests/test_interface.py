@@ -3,6 +3,7 @@
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from koszulknots.algebra import Degree, ZZ, prime_field
 from koszulknots.homology import Window, homology_table
@@ -52,12 +53,27 @@ def test_qt_cells_expansion():
     ("t=0, dd=0, rank=1, rank=2", "duplicate field"),
     ("knot=5", "bad knot header"),
     ("t=0, dd=0, rank=1, stray", "stray token"),
+    ("coeff=F4", "bad coeff header"),
+    ("coeff=Fx", "bad coeff header"),
+    ("# header\ncoeff=R", "bad coeff header"),
 ])
 def test_parse_errors_carry_line_numbers(text, fragment):
     with pytest.raises(TableFormatError) as err:
         parse_table(text)
-    assert "line" in str(err.value)
+    assert str(err.value).startswith(f"line {text.count(chr(10)) + 1}:")
     assert fragment in str(err.value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(alphabet="tdrankorcefknotQZFp=,^;:-0123456789 #",
+                        max_size=24), max_size=5))
+def test_parse_table_fuzz(lines):
+    """Any input parses or fails with a TableFormatError naming a line."""
+    for text in ("\n".join(lines), "coeff=Z\nknot=5,9\n" + "\n".join(lines)):
+        try:
+            parse_table(text)
+        except TableFormatError as exc:
+            assert str(exc).startswith("line ")
 
 
 def test_fixtures_parse():
