@@ -10,6 +10,7 @@ projector series.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from math import comb
 
 
@@ -271,30 +272,34 @@ def expand(rf: RationalFunction, window: SeriesWindow) -> dict:
         offsets.append(off)
     neg_q = max((0,) + tuple(-off[0] for off in offsets))
 
-    order = lambda m: (m[1], m[0])
-    rem = {(q - m0[0], t - m0[1]): c for (q, t, _a), c in num.terms.items()}
-    den_rel = sorted(((m[0] - m0[0], m[1] - m0[1]), c)
-                     for m, c in den.terms.items())
+    # the remainder is keyed (t, q), so tuple order is the expansion order;
+    # see exact_divide for why one heap entry per key suffices
+    rem = {(t - m0[1], q - m0[0]): c for (q, t, _a), c in num.terms.items()}
+    heap = list(rem)
+    heapify(heap)
+    tail = [((m[1] - m0[1], m[0] - m0[0]), c)
+            for m, c in den.terms.items() if m != m0]
     out = {}
-    while rem:
-        m = min(rem, key=order)
-        coeff = rem.pop(m) * c0  # c0 = +-1
-        if m[1] > window.tmax:
+    while heap:
+        t, q = key = heappop(heap)
+        coeff = rem.pop(key) * c0  # c0 = +-1
+        if not coeff:
+            continue
+        if t > window.tmax:
             break
         # slack covers offsets that can still lower q before t runs out
-        if m[0] > window.qmax + neg_q * (window.tmax - m[1] + 1):
+        if q > window.qmax + neg_q * (window.tmax - t + 1):
             continue
-        if window.contains(m[0], m[1]):
-            out[m] = coeff
-        for off, c in den_rel:
-            if off == (0, 0):
-                continue
-            key = (m[0] + off[0], m[1] + off[1])
-            v = rem.get(key, 0) - coeff * c
-            if v:
-                rem[key] = v
-            elif key in rem:
-                del rem[key]
+        if window.contains(q, t):
+            out[(q, t)] = coeff
+        for (dt, dq), c in tail:
+            nxt = (t + dt, q + dq)
+            v = rem.get(nxt)
+            if v is None:
+                rem[nxt] = -coeff * c
+                heappush(heap, nxt)
+            else:
+                rem[nxt] = v - coeff * c
     return out
 
 
@@ -367,38 +372,54 @@ def _expand_factored(rf: RationalFunction, window: SeriesWindow) -> dict:
 
 
 def exact_divide(num: LaurentPoly, den: LaurentPoly):
-    """num/den as a LaurentPoly, or None when the division is not exact."""
+    """num/den as a LaurentPoly, or None when the division is not exact.
+
+    Sparse division in the (t, q, a) order with the remainder's least term
+    taken from a heap (Monagan-Pearce, CASC 2007).  Every non-leading
+    denominator term lies strictly above the leading one, so a key popped
+    from the heap never comes back; one heap entry per key suffices, and a
+    remainder entry that cancelled to zero stays in place until popped.
+    """
+    if den.is_zero():
+        raise ZeroDivisionError("zero denominator")
     if num.is_zero():
         return LaurentPoly.zero()
     m0, c0 = den.min_term()
+    q0, t0, a0 = m0
     # Newton-polytope box: in an exact division every quotient exponent is
     # boxed coordinatewise by min(num) - max(den) and max(num) - min(den).
     lo = tuple(min(m[i] for m in num.terms)
                - max(m[i] for m in den.terms) for i in range(3))
     hi = tuple(max(m[i] for m in num.terms)
                - min(m[i] for m in den.terms) for i in range(3))
-    order = lambda m: (m[1], m[0], m[2])
-    rem = dict(num.terms)
+    # the remainder is keyed (t, q, a), so tuple order is the division order
+    rem = {(t, q, a): c for (q, t, a), c in num.terms.items()}
+    heap = list(rem)
+    heapify(heap)
+    tail = [((m[1] - t0, m[0] - q0, m[2] - a0), c)
+            for m, c in den.terms.items() if m != m0]
     quo = {}
-    while rem:
-        m = min(rem, key=order)
-        c = rem.pop(m)
+    get, push = rem.get, heappush
+    while heap:
+        t, q, a = key = heappop(heap)
+        c = rem.pop(key)
+        if not c:
+            continue
         if c % c0:
             return None
-        sigma = (m[0] - m0[0], m[1] - m0[1], m[2] - m0[2])
+        sigma = (q - q0, t - t0, a - a0)
         if any(not lo[i] <= sigma[i] <= hi[i] for i in range(3)):
             return None
         coeff = c // c0
         quo[sigma] = coeff
-        for mm, cc in den.terms.items():
-            if mm == m0:
-                continue
-            key = (sigma[0] + mm[0], sigma[1] + mm[1], sigma[2] + mm[2])
-            v = rem.get(key, 0) - coeff * cc
-            if v:
-                rem[key] = v
-            elif key in rem:
-                del rem[key]
+        for (dt, dq, da), cc in tail:
+            nxt = (t + dt, q + dq, a + da)
+            v = get(nxt)
+            if v is None:
+                rem[nxt] = -coeff * cc
+                push(heap, nxt)
+            else:
+                rem[nxt] = v - coeff * cc
     return LaurentPoly(quo)
 
 

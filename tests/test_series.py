@@ -20,12 +20,17 @@ from koszulknots.series import (Assembly, ExpansionError, LaurentPoly, ONE,
 # ---------------------------------------------------------------------------
 # Laurent polynomials
 
-laurents = st.builds(
-    lambda pairs: LaurentPoly({m: c for m, c in pairs if c}),
-    st.lists(st.tuples(st.tuples(st.integers(-6, 6), st.integers(-4, 4),
-                                 st.just(0)),
-                       st.integers(-4, 4)), max_size=5),
-)
+def _laurents(a_exponents):
+    return st.builds(
+        lambda pairs: LaurentPoly({m: c for m, c in pairs if c}),
+        st.lists(st.tuples(st.tuples(st.integers(-6, 6), st.integers(-4, 4),
+                                     a_exponents),
+                           st.integers(-4, 4)), max_size=5),
+    )
+
+
+laurents = _laurents(st.just(0))
+laurents_a = _laurents(st.integers(-2, 2))
 
 
 def test_qta_basics():
@@ -103,6 +108,17 @@ def test_expand_pzn_cell():
     assert coeffs == {(12, 3): 1}
 
 
+@pytest.mark.parametrize("rf", [stable_series(3, 3), stable_series(5, 3),
+                                mod_N_series(3, 3)])
+def test_expand_unfactored_matches_factored(rf):
+    # without den_factors the expansion region is fixed by the (t, q) order;
+    # for these denominators it is the factored region too
+    window = SeriesWindow(0, 12, -40, 60)
+    coeffs = expand(rf, window)
+    assert coeffs
+    assert expand(RationalFunction(rf.num, rf.den), window) == coeffs
+
+
 def test_expand_rejects_mixed_orientation():
     # opposite factors admit no common expansion region
     rf = rf_factored(ONE, (1, (2, 2)), (1, (-2, -2)))
@@ -114,7 +130,7 @@ def test_expand_rejects_mixed_orientation():
 # exact division
 
 @settings(max_examples=300, deadline=None)
-@given(laurents, laurents)
+@given(laurents_a, laurents_a)
 def test_exact_divide_recovers_factor(p, d):
     if d.is_zero():
         return
@@ -127,6 +143,72 @@ def test_exact_divide_rejects_non_multiple():
     den = ONE + qta(2) + qta(4)
     assert exact_divide(num, den) is None
     assert exact_divide(ONE + qta(2), ONE + qta(2) + qta(4)) is None
+
+
+def test_exact_divide_zero_denominator():
+    for num in (ONE + qta(2, 1), LaurentPoly.zero()):
+        with pytest.raises(ZeroDivisionError, match="zero denominator"):
+            exact_divide(num, LaurentPoly.zero())
+
+
+def _exact_divide_reference(num, den):
+    """Division by rescanning the remainder for its least term: the
+    quadratic loop that exact_divide replaced, kept as its oracle."""
+    if num.is_zero():
+        return LaurentPoly.zero()
+    m0, c0 = den.min_term()
+    lo = tuple(min(m[i] for m in num.terms)
+               - max(m[i] for m in den.terms) for i in range(3))
+    hi = tuple(max(m[i] for m in num.terms)
+               - min(m[i] for m in den.terms) for i in range(3))
+    order = lambda m: (m[1], m[0], m[2])
+    rem = dict(num.terms)
+    quo = {}
+    while rem:
+        m = min(rem, key=order)
+        c = rem.pop(m)
+        if c % c0:
+            return None
+        sigma = (m[0] - m0[0], m[1] - m0[1], m[2] - m0[2])
+        if any(not lo[i] <= sigma[i] <= hi[i] for i in range(3)):
+            return None
+        coeff = c // c0
+        quo[sigma] = coeff
+        for mm, cc in den.terms.items():
+            if mm == m0:
+                continue
+            key = (sigma[0] + mm[0], sigma[1] + mm[1], sigma[2] + mm[2])
+            v = rem.get(key, 0) - coeff * cc
+            if v:
+                rem[key] = v
+            elif key in rem:
+                del rem[key]
+    return LaurentPoly(quo)
+
+
+def test_exact_divide_matches_reference():
+    t3 = [m for m in range(1, 21) if m % 3]
+    rfs = [assemble_torus3(m, N).rational
+           for N in (2, 3, 4, 5, "homfly") for m in t3]
+    rfs += [assemble_torus3(m, 0, reduced=True).rational for m in t3]
+    rfs += [assemble_torus2(m, N).rational
+            for N in (2, 3, 4, 5, "homfly") for m in range(1, 42, 2)]
+    exact = [(rf.num, rf.den) for rf in rfs]
+    perturbed = []
+    for num, den in exact:
+        # one added monomial makes the division inexact; adding it mid-way
+        # lets the division run past it before the box check stops it
+        terms = sorted(num.terms, key=lambda m: (m[1], m[0], m[2]))
+        q, t, a = terms[len(terms) // 2]
+        perturbed.append((num + qta(q + 1, t, a), den))
+    results = []
+    for num, den in exact + perturbed:
+        quo = exact_divide(num, den)
+        assert quo == _exact_divide_reference(num, den)
+        results.append(quo)
+    # all but the 35 unreduced HOMFLY sums, which are not polynomials
+    assert sum(quo is not None for quo in results[:len(exact)]) == 154
+    assert all(quo is None for quo in results[len(exact):])
 
 
 # ---------------------------------------------------------------------------
