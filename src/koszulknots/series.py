@@ -9,6 +9,7 @@ projector series.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import comb
@@ -50,6 +51,8 @@ class LaurentPoly:
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
         terms = dict(self.terms)
         for m, c in other.terms.items():
             terms[m] = terms.get(m, 0) + c
@@ -59,6 +62,8 @@ class LaurentPoly:
         return LaurentPoly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
@@ -94,10 +99,14 @@ class LaurentPoly:
 
     def min_term(self):
         """Minimal monomial in the (t, q, a) order, with its coefficient."""
+        if not self.terms:
+            raise ValueError("zero polynomial has no least term")
         m = min(self.terms, key=lambda m: (m[1], m[0], m[2]))
         return m, self.terms[m]
 
     def max_term(self):
+        if not self.terms:
+            raise ValueError("zero polynomial has no greatest term")
         m = max(self.terms, key=lambda m: (m[1], m[0], m[2]))
         return m, self.terms[m]
 
@@ -152,7 +161,9 @@ class RationalFunction:
 
     Each factor is a pair (c, (i, j, k)).  Factor lists survive
     multiplication and a-substitution; sums drop them (expansion of a sum
-    goes through its catalogued summands instead).
+    goes through its catalogued summands instead).  The torus-knot
+    assemblies sum their summands over the least common multiple of the
+    factor lists, not over the cross-multiplied denominator that + builds.
     """
 
     num: LaurentPoly
@@ -183,6 +194,16 @@ class RationalFunction:
             other = RationalFunction.of(other)
         return RationalFunction(self.num * other.den - other.num * self.den,
                                 self.den * other.den)
+
+    def __radd__(self, other):
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
+        return RationalFunction.of(other) + self
+
+    def __rsub__(self, other):
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
+        return RationalFunction.of(other) - self
 
     def __mul__(self, other):
         if isinstance(other, (LaurentPoly, int)):
@@ -727,21 +748,45 @@ def _projector_for_assembly(shape, N, reduced):
     return projector_series(shape, N, "dN", reduced)
 
 
-def _finish(rf: RationalFunction, shift_q) -> Assembly:
-    return Assembly(rf, shift_q, exact_divide(rf.num, rf.den))
+def _finish(parts, shift_q) -> Assembly:
+    """Sum the (weight, factored summand) pairs over the least common
+    multiple of their factor lists and certify the sum by exact division.
 
-
-def assemble_torus3(m: int, N, reduced: bool = False) -> Assembly:
-    """Projector decomposition of the (3, m) torus-knot series.
-
-    N is an integer >= 2, 0 for the d0 (Heegaard-Floer style) variant,
-    or "homfly".
+    A factor 1 - c x^m with m below 0 in the (t, q, a) order equals the
+    unit -c x^m times 1 - c x^-m (c = +-1), so factors that agree up to a
+    unit are counted as one; the unit moves into the summand's numerator.
     """
+    summands, lcm = [], Counter()
+    for weight, rf in parts:
+        num, factors = weight * rf.num, Counter()
+        for c, m in rf.den_factors:
+            if abs(c) != 1:
+                raise ValueError(f"denominator factor (c={c}, m={m}): "
+                                 "c must be +-1 to be normalised")
+            if (m[1], m[0], m[2]) < (0, 0, 0):
+                m = (-m[0], -m[1], -m[2])
+                num = num * qta(*m, coeff=-c)
+            factors[(c, m)] += 1
+        summands.append((num, factors))
+        lcm |= factors
+    binomials = lambda counts: product(ONE - qta(*m, coeff=c)
+                                       for c, m in counts.elements())
+    total = LaurentPoly.zero()
+    for num, factors in summands:
+        total = total + num * binomials(lcm - factors)
+    den = binomials(lcm)
+    return Assembly(RationalFunction(total, den), shift_q,
+                    exact_divide(total, den))
+
+
+def _torus3_parts(m: int, N, reduced: bool):
+    """The (weight, summand) pairs of the (3, m) decomposition and its
+    stated q-shift."""
     if m < 1 or m % 3 == 0:
         raise ValueError(f"need m >= 1 coprime to 3, got {m}")
     k, r = divmod(m, 3)
-    p = {shape: _projector_for_assembly(shape, N, reduced)
-         for shape in ("[123]", "[12,3]", "[13,2]", "[1,2,3]")}
+    shapes = ("[123]", "[12,3]", "[13,2]", "[1,2,3]")
+    p = {shape: _projector_for_assembly(shape, N, reduced) for shape in shapes}
     if reduced and isinstance(N, int) and N >= 2:
         # The catalogued reduced one-column and hook series are homologies of
         # the reduced projector algebras, and for N > 2 they do not satisfy
@@ -750,38 +795,48 @@ def assemble_torus3(m: int, N, reduced: bool = False) -> Assembly:
         # is rebuilt: the three-box column gets the two-box column series
         # scaled by the same ratio the unreduced columns exhibit (it vanishes
         # at N = 2, matching the catalogued special case), and the hook is
-        # the identity complement.
+        # the identity complement, written as anti2 * (1 - ratio) so that it
+        # keeps its factor list.
         anti2 = _projector_for_assembly("[1,2]", N, reduced)
         ratio = rf_factored(one_minus(2 * N - 4) * one_plus(2 * N - 2, 1),
                             (1, (2 * N - 2, 0)), (1, (-6, -2)))
         p["[1,2,3]"] = anti2 * ratio
-        p["[13,2]"] = anti2 - p["[1,2,3]"]
+        p["[13,2]"] = anti2 * RationalFunction(ratio.den - ratio.num,
+                                               ratio.den, ratio.den_factors)
     if r == 1:
-        total = (p["[123]"]
-                 + qta(6 * k, 4 * k) * p["[12,3]"]
-                 + qta(6 * k, 4 * k) * p["[13,2]"]
-                 + qta(12 * k, 6 * k) * p["[1,2,3]"])
+        weights = (ONE, qta(6 * k, 4 * k), qta(6 * k, 4 * k),
+                   qta(12 * k, 6 * k))
         shift = 3 * k * (N - 1) - 2 if isinstance(N, int) and N >= 2 else None
     else:
-        total = (p["[123]"]
-                 + qta(6 * k, 4 * k) * p["[12,3]"]
-                 + qta(6 * k + 4, 4 * k + 2) * p["[13,2]"]
-                 + qta(12 * k + 4, 6 * k + 2) * p["[1,2,3]"])
+        weights = (ONE, qta(6 * k, 4 * k), qta(6 * k + 4, 4 * k + 2),
+                   qta(12 * k + 4, 6 * k + 2))
         shift = 3 * k * (N - 1) - 3 if isinstance(N, int) and N >= 2 else None
-    return _finish(total, shift)
+    return [(w, p[shape]) for w, shape in zip(weights, shapes)], shift
 
 
-def assemble_torus2(m: int, N, reduced: bool = False) -> Assembly:
-    """Two-term projector decomposition of the (2, m) torus-knot series."""
+def assemble_torus3(m: int, N, reduced: bool = False) -> Assembly:
+    """Projector decomposition of the (3, m) torus-knot series.
+
+    N is an integer >= 2, 0 for the d0 (Heegaard-Floer style) variant,
+    or "homfly".
+    """
+    return _finish(*_torus3_parts(m, N, reduced))
+
+
+def _torus2_parts(m: int, N, reduced: bool):
+    """The (weight, summand) pairs of the (2, m) decomposition."""
     if m < 1 or m % 2 == 0:
         raise ValueError(f"need odd m >= 1, got {m}")
     if N == 0:
         raise ValueError("no d0 decomposition is catalogued for two strands")
     k = (m - 1) // 2
-    sym = _projector_for_assembly("[12]", N, reduced)
-    anti = _projector_for_assembly("[1,2]", N, reduced)
-    total = sym + qta(4 * k, 2 * k) * anti
-    return _finish(total, None)
+    return [(ONE, _projector_for_assembly("[12]", N, reduced)),
+            (qta(4 * k, 2 * k), _projector_for_assembly("[1,2]", N, reduced))]
+
+
+def assemble_torus2(m: int, N, reduced: bool = False) -> Assembly:
+    """Two-term projector decomposition of the (2, m) torus-knot series."""
+    return _finish(_torus2_parts(m, N, reduced), None)
 
 
 def normalize_lowest(poly: LaurentPoly, q_exp: int = 0,

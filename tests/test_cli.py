@@ -5,6 +5,7 @@ import os
 import pytest
 
 from koszulknots.cli import main
+from koszulknots.series import assemble_torus3
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -117,6 +118,16 @@ def test_series_torus3_reduced_trefoil(capsys):
     body = out.splitlines()[-1].replace(" ", "").replace("*", "")
     # q^4 (1 + q^4 t^2 + q^8 t^3), printed with the lowest term at 1
     assert body == "1+q^4t^2+q^8t^3"
+
+
+def test_series_torus3_homfly_prints_reduced_rational(capsys):
+    code, out, _err = run(capsys, "series", "--torus3", "4", "--N", "homfly")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "# polynomial: no"
+    # the sum over the common factor list, with its lowest term 1
+    assert lines[1] == str(assemble_torus3(4, "homfly").rational)
+    assert lines[1].startswith("(1 + t^1a^2 ")
 
 
 def test_series_assembly_requires_N(capsys):

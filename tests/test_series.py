@@ -8,7 +8,8 @@ from koszulknots.homology import Window, homology_table
 from koszulknots.presentations import (reduced_presentation,
                                        stable_presentation)
 from koszulknots.series import (Assembly, ExpansionError, LaurentPoly, ONE,
-                                RationalFunction, SeriesWindow,
+                                RationalFunction, SeriesWindow, _finish,
+                                _torus2_parts, _torus3_parts,
                                 assemble_torus2, assemble_torus3,
                                 exact_divide, expand, formula, identity_check,
                                 list_formulas, mod_N_series, normalize_lowest,
@@ -61,6 +62,16 @@ def test_min_max_term():
     assert p.max_term()[0] == (0, 2, 0)
 
 
+def test_min_max_term_of_zero():
+    with pytest.raises(ValueError, match="zero polynomial has no least term"):
+        LaurentPoly.zero().min_term()
+    with pytest.raises(ValueError,
+                       match="zero polynomial has no greatest term"):
+        LaurentPoly.zero().max_term()
+    with pytest.raises(ValueError, match="no least term"):
+        normalize_lowest(LaurentPoly.zero())
+
+
 # ---------------------------------------------------------------------------
 # rational functions
 
@@ -74,6 +85,21 @@ def test_rational_sum_and_equality():
     s = half + half
     assert identity_check(s, RationalFunction(ONE + ONE, one_minus(2)))
     assert not identity_check(half, s)
+
+
+def test_polynomial_plus_rational():
+    rf = stable_series(2, 2)
+    for total in (qta(1) + rf, rf + qta(1)):
+        assert identity_check(total, RationalFunction(
+            rf.num + qta(1) * rf.den, rf.den))
+    assert identity_check(ONE - rf,
+                          RationalFunction(rf.den - rf.num, rf.den))
+    assert identity_check(rf - ONE,
+                          RationalFunction(rf.num - rf.den, rf.den))
+    with pytest.raises(TypeError):
+        ONE - 1
+    with pytest.raises(TypeError):
+        ONE + 1
 
 
 def test_rational_product_keeps_factors():
@@ -186,13 +212,24 @@ def _exact_divide_reference(num, den):
     return LaurentPoly(quo)
 
 
+def _cross_multiplied(parts):
+    """An assembly's sum as + builds it: over the product of every
+    summand's denominator."""
+    total = None
+    for weight, rf in parts:
+        total = weight * rf if total is None else total + weight * rf
+    return total
+
+
 def test_exact_divide_matches_reference():
     t3 = [m for m in range(1, 21) if m % 3]
-    rfs = [assemble_torus3(m, N).rational
-           for N in (2, 3, 4, 5, "homfly") for m in t3]
-    rfs += [assemble_torus3(m, 0, reduced=True).rational for m in t3]
-    rfs += [assemble_torus2(m, N).rational
-            for N in (2, 3, 4, 5, "homfly") for m in range(1, 42, 2)]
+    parts = [_torus3_parts(m, N, False)[0]
+             for N in (2, 3, 4, 5, "homfly") for m in t3]
+    parts += [_torus3_parts(m, 0, True)[0] for m in t3]
+    parts += [_torus2_parts(m, N, False)
+              for N in (2, 3, 4, 5, "homfly") for m in range(1, 42, 2)]
+    rfs = [_cross_multiplied(p) for p in parts]
+    assert max(len(rf.den.terms) for rf in rfs) == 81
     exact = [(rf.num, rf.den) for rf in rfs]
     perturbed = []
     for num, den in exact:
@@ -331,6 +368,52 @@ def test_assembly_argument_errors():
         assemble_torus2(4, 2)
     with pytest.raises(ValueError):
         assemble_torus3(2, 0, reduced=False)
+
+
+def test_assembly_matches_cross_multiplied_sum():
+    t3 = [m for m in range(1, 41) if m % 3]
+    variants = [(N, reduced) for N in (2, 3, 4, 5, "homfly")
+                for reduced in (False, True)]
+    cases = [(assemble_torus3(m, N, reduced),
+              _torus3_parts(m, N, reduced)[0])
+             for N, reduced in variants + [(0, True)] for m in t3]
+    cases += [(assemble_torus2(m, N, reduced), _torus2_parts(m, N, reduced))
+              for N, reduced in variants for m in range(1, 82, 2)]
+    assert len(cases) == 707
+    for asm, parts in cases:
+        old = _cross_multiplied(parts)
+        assert asm.polynomial == exact_divide(old.num, old.den)
+        assert asm.rational.equals(old)
+        assert asm.rational.den_factors is None
+        assert len(asm.rational.den.terms) <= 16
+
+
+def test_assembly_expansion_matches_polynomial():
+    window = SeriesWindow(-12, 12, -60, 60)
+    asms = [assemble_torus3(m, N) for N in (2, 3, 4, 5)
+            for m in range(1, 11) if m % 3]
+    asms += [assemble_torus2(m, N) for N in (2, 3, 4, 5)
+             for m in range(1, 12, 2)]
+    assert len(asms) == 52
+    for asm in asms:
+        want = {(q, t): c
+                for (q, t), c in asm.polynomial.coefficients_qt().items()
+                if window.contains(q, t)}
+        got = {k: v for k, v in expand(asm.rational, window).items() if v}
+        assert got == want
+
+
+def test_finish_sums_over_common_factor_list():
+    # 1/(1-q^2)^2 + q^2/(1-q^-2): the second factor is -q^-2 (1-q^2) and
+    # the common denominator is (1-q^2)^2, not (1-q^2)^2 (1-q^-2)
+    parts = [(ONE, rf_factored(ONE, (1, (2, 0)), (1, (2, 0)))),
+             (qta(2), rf_factored(ONE, (1, (-2, 0))))]
+    asm = _finish(parts, None)
+    assert asm.rational.den == one_minus(2) * one_minus(2)
+    assert asm.rational.equals(_cross_multiplied(parts))
+    assert asm.polynomial is None
+    with pytest.raises(ValueError, match="must be \\+-1"):
+        _finish([(ONE, rf_factored(ONE, (2, (2, 0))))], None)
 
 
 def test_homfly_assembly_is_rational():
