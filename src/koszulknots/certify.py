@@ -15,6 +15,7 @@ from .homology import GradedBasis, IntegerMatrix, Window, d_matrix, \
     homology_at, homology_table, rank_exact, window_bases
 from .presentations import Presentation, apply_d, mu, \
     reduced_presentation, stable_presentation
+from .series import SeriesWindow, expand, one_plus, product, rf_factored
 
 
 @dataclass
@@ -186,29 +187,6 @@ def _relabeled_stable(n: int, N: int) -> Presentation:
                         base.d_images)
 
 
-def _free_factor_dimensions(n: int, N: int, window: Window) -> dict:
-    """Graded dimensions of Z[xi_1..xi_{N-1}, x_{n-N+1}..x_{n-1}]."""
-    odd = [Degree(2 * N + 2 * i, 2 * i + 1) for i in range(1, N)]
-    even = [Degree(2 * k + 2, 2 * k) for k in range(n - N + 1, n)]
-    dims = {Degree(0, 0): 1}
-    for d in odd:
-        new = dict(dims)
-        for deg, c in dims.items():
-            shifted = deg + d
-            new[shifted] = new.get(shifted, 0) + c
-        dims = new
-    for d in even:
-        # geometric series truncated to the window
-        new = {}
-        for deg, c in dims.items():
-            cur = deg
-            while cur.t <= window.tmax and cur.q <= window.qmax:
-                new[cur] = new.get(cur, 0) + c
-                cur = cur + d
-        dims = new
-    return dims
-
-
 def reduced_factorization_check(n: int, N: int,
                                 window: Window) -> CertificateReport:
     """Graded dimensions of the reduced model versus the product formula.
@@ -222,13 +200,17 @@ def reduced_factorization_check(n: int, N: int,
     report = CertificateReport(f"reduced:{n},{N}")
 
     lhs = homology_table(reduced_presentation(n, N), QQ, window)
-    free = _free_factor_dimensions(n, N, window)
+    # graded dimensions of Z[xi_1..xi_{N-1}, x_{n-N+1}..x_{n-1}]
+    free = expand(rf_factored(
+        product(one_plus(2 * N + 2 * i, 2 * i + 1) for i in range(1, N)),
+        *((1, (2 * k + 2, 2 * k)) for k in range(n - N + 1, n))),
+        SeriesWindow(0, window.tmax, 0, window.qmax))
     rhs_table = homology_table(_relabeled_stable(n - N, N), QQ, window)
 
     rhs = {}
-    for d1, c1 in free.items():
+    for (q, t), c1 in free.items():
         for d2, g in rhs_table.groups.items():
-            d = d1 + d2
+            d = Degree(q, t) + d2
             if window.contains(d):
                 rhs[d] = rhs.get(d, 0) + c1 * g.free_rank
 

@@ -5,7 +5,8 @@ size of the generator degrees: basis_at runs it on one degree and
 window_bases on a whole window.  Matrices of the differential are exact
 integer matrices, assembled by d_matrix from images compiled into
 exponent tuples; apply_d is the term-by-term reference the tests check it
-against.  Torsion comes from Smith normal form with arbitrary precision.
+against.  Exact ranks and torsion come from one elimination kernel that
+removes unit pivots, with the general Smith loop on what remains.
 homology_table is the one homology path: it enumerates its window once
 and computes each matrix, rank and Smith form once; homology_at is
 homology_table on a one-degree window.
@@ -14,8 +15,8 @@ homology_table on a one-degree window.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field
-from math import gcd
 from operator import add
 
 from .algebra import CoefficientRing, Degree, Monomial, T_STEP
@@ -53,7 +54,8 @@ class GradedBasis:
 
 @dataclass
 class IntegerMatrix:
-    """Sparse integer matrix; entries maps (row, col) to a nonzero value."""
+    """Sparse integer matrix; entries maps (row, col) to a value, and
+    stored zeros count as absent."""
 
     rows: int
     cols: int
@@ -320,74 +322,167 @@ def d_matrix(pres: Presentation, deg: Degree, bound: int | None = None,
 # exact linear algebra
 
 
-def rank_mod_p(mat: IntegerMatrix, p: int) -> int:
-    rows: dict = {}
+def _eliminate_units(mat: IntegerMatrix, p: int | None = None):
+    """Remove unit pivots by unimodular elimination.
+
+    Units are +-1 over Z and every nonzero entry over F_p (entries are
+    reduced mod p first; zero entries are dropped).  A unit's column is
+    cleared by row operations; its row is then cleared by column
+    operations that touch no other row, so the matrix is equivalent to
+    the unit plus the rest: the rank drops by one and the Smith form loses
+    a factor 1.  Each sweep visits, in order, the columns that gained a
+    unit since the last one, and takes the unit of the shortest row;
+    sweeps repeat until none is left.  Over F_p the first sweep empties
+    the matrix.  This is the elimination step of Dumas, Saunders and
+    Villard (J. Symbolic Comput. 32, 2001).  Returns the pivot count and
+    the remainder as row -> {col: value}.
+    """
+    rows = defaultdict(dict)
+    # col -> rows that held it, in order; a row that left or whose entry
+    # cancelled stays listed and is skipped when the column is read
+    cols = defaultdict(dict)
+    fresh = set()
     for (r, c), v in mat.entries.items():
-        v %= p
+        if p is not None:
+            v %= p
         if v:
-            rows.setdefault(r, {})[c] = v
-    rank = 0
-    rows_list = [rw for rw in rows.values() if rw]
-    pivots: dict = {}  # col -> row dict with 1 at col
-    for rw in rows_list:
-        rw = dict(rw)
-        while rw:
-            c = min(rw)
-            if c in pivots:
-                factor = rw.pop(c)
-                for cc, vv in pivots[c].items():
-                    if cc == c:
-                        continue
-                    nv = (rw.get(cc, 0) - factor * vv) % p
+            rows[r][c] = v
+            cols[c][r] = None
+            if p is not None or v in (1, -1):
+                fresh.add(c)
+    pivots = 0
+    while fresh:
+        sweep, fresh = sorted(fresh), set()
+        for c in sweep:
+            top = None
+            live = []
+            for r in cols.get(c, ()):
+                row = rows.get(r)
+                if row is None or c not in row:
+                    continue
+                live.append(r)
+                if (p is not None or row[c] in (1, -1)) and (
+                        top is None or len(row) < len(rows[top])):
+                    top = r
+            if top is None:
+                continue
+            del cols[c]
+            pivots += 1
+            prow = rows.pop(top)
+            unit = prow.pop(c)
+            inv = unit if p is None else pow(unit, -1, p)
+            for r in live:
+                if r == top:
+                    continue
+                row = rows[r]
+                f = row.pop(c) * inv
+                for cc, v in prow.items():
+                    old = row.get(cc)
+                    nv = (old or 0) - f * v
+                    if p is not None:
+                        nv %= p
                     if nv:
-                        rw[cc] = nv
-                    elif cc in rw:
-                        del rw[cc]
+                        row[cc] = nv
+                        if old is None:
+                            cols[cc][r] = None
+                        if p is None and nv in (1, -1):
+                            fresh.add(cc)
+                    else:
+                        del row[cc]
+    return pivots, {r: row for r, row in rows.items() if row}
+
+
+def _smith(rows: dict, shape=None):
+    """The general Smith loop on row -> {col: value}; rows is consumed.
+
+    Takes an entry of least absolute value as pivot, then clears its
+    column by row operations and its row by column operations, one entry
+    at a time; a nonzero remainder becomes the pivot.  Once both are
+    clear, a row that the pivot does not divide is added to the pivot
+    row, and clearing goes on; otherwise the pivot leaves with its row
+    and column.  With shape = (rows, cols), U and V of that shape are
+    recorded too and reordered so that U * mat * V is diagonal.
+    """
+    cols = defaultdict(set)
+    for r, row in rows.items():
+        for c in row:
+            cols[c].add(r)
+    U, V = [[[int(i == j) for j in range(n)] for i in range(n)]
+            for n in shape or (0, 0)]
+
+    def add_row(src, dst, k):
+        # row dst += k * row src
+        row = rows[dst]
+        for c, v in rows[src].items():
+            nv = row.get(c, 0) + k * v
+            if nv:
+                row[c] = nv
+                cols[c].add(dst)
             else:
-                inv = pow(rw[c], -1, p)
-                rw = {cc: (vv * inv) % p for cc, vv in rw.items()}
-                pivots[c] = rw
-                rank += 1
-                break
-    return rank
+                del row[c]
+                cols[c].discard(dst)
+        if shape:
+            U[dst] = [a + k * b for a, b in zip(U[dst], U[src])]
+
+    factors, order = [], []
+    while True:
+        pivot = min(((abs(v), r, c) for r, row in rows.items()
+                     for c, v in row.items()), default=None)
+        if pivot is None:
+            break
+        _, r, c = pivot
+        while True:
+            piv = rows[r][c]
+            if len(cols[c]) > 1:
+                r2 = next(x for x in cols[c] if x != r)
+                k = rows[r2][c] // piv
+                if k:
+                    add_row(r, r2, -k)
+                if c in rows[r2]:
+                    r = r2
+            elif len(rows[r]) > 1:
+                # column c holds only the pivot: col c2 -= k * col c
+                c2 = next(x for x in rows[r] if x != c)
+                k = rows[r][c2] // piv
+                for row in V:
+                    row[c2] -= k * row[c]
+                if rows[r][c2] - k * piv:
+                    rows[r][c2] -= k * piv
+                    c = c2
+                else:
+                    del rows[r][c2]
+                    cols[c2].discard(r)
+            else:
+                bad = next((x for x, row in rows.items()
+                            for v in row.values() if v % piv), None)
+                if bad is None:
+                    break
+                add_row(bad, r, 1)
+        if piv < 0 and shape:
+            U[r] = [-a for a in U[r]]
+        factors.append(abs(piv))
+        order.append((r, c))
+        del rows[r], cols[c]
+    if not shape:
+        return factors, None, None
+    # pivot rows and columns first, in the order they left
+    done_r = [r for r, _c in order]
+    done_c = [c for _r, c in order]
+    U = [U[r] for r in done_r + sorted(set(range(len(U))) - set(done_r))]
+    perm = done_c + sorted(set(range(len(V))) - set(done_c))
+    return factors, U, [[row[c] for c in perm] for row in V]
+
+
+def rank_mod_p(mat: IntegerMatrix, p: int) -> int:
+    """Rank over F_p, where every nonzero entry is a unit pivot."""
+    return _eliminate_units(mat, p)[0]
 
 
 def rank_exact(mat: IntegerMatrix) -> int:
-    """Rank over Q (equivalently over Z) by integer elimination."""
-    rows: dict = {}
-    for (r, c), v in mat.entries.items():
-        rows.setdefault(r, {})[c] = v
-    rank = 0
-    pivots: dict = {}  # col -> (pivot_value, row dict)
-    for rw in rows.values():
-        rw = dict(rw)
-        while rw:
-            c = min(rw)
-            if c in pivots:
-                pv, prow = pivots[c]
-                a = rw.pop(c)
-                # rw := pv*rw - a*prow, then strip content
-                new = {cc: pv * vv for cc, vv in rw.items()}
-                for cc, vv in prow.items():
-                    if cc == c:
-                        continue
-                    nv = new.get(cc, 0) - a * vv
-                    if nv:
-                        new[cc] = nv
-                    elif cc in new:
-                        del new[cc]
-                if new:
-                    g = 0
-                    for vv in new.values():
-                        g = gcd(g, vv)
-                    if g > 1:
-                        new = {cc: vv // g for cc, vv in new.items()}
-                rw = new
-            else:
-                pivots[c] = (rw[c], rw)
-                rank += 1
-                break
-    return rank
+    """Rank over Q (equivalently over Z): the unit pivots plus the
+    number of invariant factors of the remainder."""
+    pivots, rest = _eliminate_units(mat)
+    return pivots + len(_smith(rest)[0])
 
 
 def matrix_rank(mat: IntegerMatrix, ring: CoefficientRing) -> int:
@@ -401,152 +496,19 @@ def smith_normal_form(mat: IntegerMatrix, transforms: bool = False):
 
     Returns (factors, U, V) with U*mat*V diagonal on the factors; factors
     are positive and each divides the next.  U, V are None unless requested.
+    The unit pivots give the leading factors 1, and the general loop runs
+    on the remainder only.  With transforms the general loop runs on the
+    whole matrix instead, since it records U and V and the unit
+    elimination does not.
     """
-    nr, nc = mat.rows, mat.cols
-    rows: dict = {r: {} for r in range(nr)}
-    col_index: dict = {c: set() for c in range(nc)}
+    if not transforms:
+        pivots, rest = _eliminate_units(mat)
+        return [1] * pivots + _smith(rest)[0], None, None
+    rows = defaultdict(dict)
     for (r, c), v in mat.entries.items():
         if v:
             rows[r][c] = v
-            col_index[c].add(r)
-
-    U = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)] \
-        if transforms else None
-    V = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)] \
-        if transforms else None
-
-    def set_entry(r, c, v):
-        if v:
-            rows[r][c] = v
-            col_index[c].add(r)
-        else:
-            rows[r].pop(c, None)
-            col_index[c].discard(r)
-
-    def row_op(src, dst, k):
-        # row[dst] += k * row[src]
-        for c, v in list(rows[src].items()):
-            set_entry(dst, c, rows[dst].get(c, 0) + k * v)
-        if transforms:
-            for j in range(nr):
-                U[dst][j] += k * U[src][j]
-
-    def col_op(src, dst, k):
-        # col[dst] += k * col[src]
-        for r in list(col_index[src]):
-            set_entry(r, dst, rows[r].get(dst, 0) + k * rows[r][src])
-        if transforms:
-            for i in range(nc):
-                V[i][dst] += k * V[i][src]
-
-    def swap_rows(r1, r2):
-        if r1 == r2:
-            return
-        cs = set(rows[r1]) | set(rows[r2])
-        rows[r1], rows[r2] = rows[r2], rows[r1]
-        for c in cs:
-            col_index[c].discard(r1)
-            col_index[c].discard(r2)
-            if c in rows[r1]:
-                col_index[c].add(r1)
-            if c in rows[r2]:
-                col_index[c].add(r2)
-        if transforms:
-            U[r1], U[r2] = U[r2], U[r1]
-
-    def swap_cols(c1, c2):
-        if c1 == c2:
-            return
-        for r in list(col_index[c1] | col_index[c2]):
-            v1 = rows[r].pop(c1, 0)
-            v2 = rows[r].pop(c2, 0)
-            col_index[c1].discard(r)
-            col_index[c2].discard(r)
-            if v2:
-                rows[r][c1] = v2
-                col_index[c1].add(r)
-            if v1:
-                rows[r][c2] = v1
-                col_index[c2].add(r)
-        if transforms:
-            for i in range(nc):
-                V[i][c1], V[i][c2] = V[i][c2], V[i][c1]
-
-    factors = []
-    k = 0
-    limit = min(nr, nc)
-    while k < limit:
-        # find minimal-absolute-value pivot in the active submatrix
-        pivot = None
-        best = None
-        for r in range(k, nr):
-            for c, v in rows[r].items():
-                if c < k:
-                    continue
-                if best is None or abs(v) < best:
-                    best = abs(v)
-                    pivot = (r, c)
-                    if best == 1:
-                        break
-            if best == 1:
-                break
-        if pivot is None:
-            break
-        swap_rows(k, pivot[0])
-        swap_cols(k, pivot[1])
-
-        while True:
-            piv = rows[k][k]
-            dirty = False
-            for r in list(col_index[k]):
-                if r <= k:
-                    continue
-                v = rows[r][k]
-                row_op(k, r, -(v // piv))
-                if rows[r].get(k):
-                    # nonzero remainder smaller than pivot: make it the pivot
-                    swap_rows(k, r)
-                    dirty = True
-                    break
-            if dirty:
-                continue
-            for c in list(rows[k]):
-                if c <= k:
-                    continue
-                v = rows[k][c]
-                col_op(k, c, -(v // piv))
-                if rows[k].get(c):
-                    swap_cols(k, c)
-                    dirty = True
-                    break
-            if not dirty:
-                break
-
-        # enforce divisibility: pivot must divide the remaining submatrix
-        piv = rows[k][k]
-        offender = None
-        for r in range(k + 1, nr):
-            for c, v in rows[r].items():
-                if c > k and v % piv:
-                    offender = r
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            row_op(offender, k, 1)
-            continue
-
-        if piv < 0:
-            for c in list(rows[k]):
-                set_entry(k, c, -rows[k][c])
-            if transforms:
-                for j in range(nr):
-                    U[k][j] = -U[k][j]
-            piv = -piv
-        factors.append(piv)
-        k += 1
-
-    return factors, U, V
+    return _smith(rows, (mat.rows, mat.cols))
 
 
 # ---------------------------------------------------------------------------

@@ -186,12 +186,16 @@ class RationalFunction:
     def __add__(self, other):
         if isinstance(other, LaurentPoly):
             other = RationalFunction.of(other)
+        elif not isinstance(other, RationalFunction):
+            return NotImplemented
         return RationalFunction(self.num * other.den + other.num * self.den,
                                 self.den * other.den)
 
     def __sub__(self, other):
         if isinstance(other, LaurentPoly):
             other = RationalFunction.of(other)
+        elif not isinstance(other, RationalFunction):
+            return NotImplemented
         return RationalFunction(self.num * other.den - other.num * self.den,
                                 self.den * other.den)
 
@@ -209,6 +213,8 @@ class RationalFunction:
         if isinstance(other, (LaurentPoly, int)):
             return RationalFunction(self.num * other, self.den,
                                     self.den_factors)
+        if not isinstance(other, RationalFunction):
+            return NotImplemented
         factors = None
         if self.den_factors is not None and other.den_factors is not None:
             factors = self.den_factors + other.den_factors

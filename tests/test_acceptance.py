@@ -121,11 +121,11 @@ def test_criterion_06_five_torsion_cell():
 def test_criterion_07_certificates():
     from koszulknots import certify
     with criterion(7, "torsion certificates and named classes", 60):
-        for (p, N) in [(5, 2), (5, 3)]:
+        for (p, N) in [(5, 2), (5, 3), (7, 3)]:
             report = certify.torsion_certificate_tp(p, N)
             assert report.verdict, report.text()
-        report = certify.torsion_certificate_tp(7, 3, check_homology=False)
-        assert report.verdict, report.text()
+        # the 7-torsion of t_7 is a Z/21 at q^22 t^15
+        assert "q^22 t^15" in report.text() and "Z/21" in report.text()
         for name in ("A", "B"):
             report = certify.verify_named_class(name)
             assert report.verdict, report.text()

@@ -4,6 +4,7 @@ import itertools
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -52,15 +53,39 @@ def det(rows):
     return sign * a[n - 1][n - 1]
 
 
-matrices = st.builds(
-    lambda rows, cols, vals: IntegerMatrix(
-        rows, cols,
-        {(r, c): v
-         for (r, c), v in zip(itertools.product(range(rows), range(cols)),
-                              vals) if v}),
-    st.integers(1, 5), st.integers(1, 5),
-    st.lists(st.integers(-9, 9), min_size=25, max_size=25),
-)
+def int_matrices(size):
+    """Integer matrices up to size x size, entries biased toward 0 and +-1
+    (so unit pivots and stored zeros are common)."""
+    return st.builds(
+        lambda rows, cols, vals: IntegerMatrix(rows, cols, dict(
+            zip(itertools.product(range(rows), range(cols)), vals))),
+        st.integers(1, size), st.integers(1, size),
+        st.lists(st.one_of(st.sampled_from([-1, 0, 1]), st.integers(-9, 9)),
+                 min_size=size * size, max_size=size * size),
+    )
+
+
+matrices = int_matrices(5)
+
+
+def dense_rank(mat, p=None):
+    """Rank by dense Gaussian elimination over Q (Fractions) or F_p."""
+    a = [[Fraction(v) if p is None else v % p for v in row]
+         for row in dense(mat)]
+    rank = 0
+    for c in range(mat.cols):
+        piv = next((r for r in range(rank, mat.rows) if a[r][c]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        inv = 1 / a[rank][c] if p is None else pow(a[rank][c], -1, p)
+        for r in range(rank + 1, mat.rows):
+            f = a[r][c] * inv
+            a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
+            if p is not None:
+                a[r] = [x % p for x in a[r]]
+        rank += 1
+    return rank
 
 
 @settings(max_examples=300, deadline=None)
@@ -82,6 +107,8 @@ def test_snf_factorization(mat):
     assert all(f > 0 for f in factors)
     for a, b in zip(factors, factors[1:]):
         assert b % a == 0
+    # the unit elimination then the general loop gives the same factors
+    assert smith_normal_form(mat)[0] == factors
 
 
 @settings(max_examples=300, deadline=None)
@@ -92,6 +119,14 @@ def test_rank_consistency(mat):
     assert len(nonzero) == r
     for p in (2, 3, 5):
         assert rank_mod_p(mat, p) <= r
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_matrices(7))
+def test_ranks_match_dense_elimination(mat):
+    assert rank_exact(mat) == dense_rank(mat)
+    for p in (2, 3, 5):
+        assert rank_mod_p(mat, p) == dense_rank(mat, p)
 
 
 def test_snf_known_example():

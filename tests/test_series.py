@@ -102,6 +102,16 @@ def test_polynomial_plus_rational():
         ONE + 1
 
 
+def test_rational_rejects_unsupported_operands():
+    rf = stable_series(2, 2)
+    for op in (lambda: rf + 1, lambda: rf - 1, lambda: 1 + rf,
+               lambda: 1 - rf, lambda: rf * 1.5, lambda: 1.5 * rf,
+               lambda: rf + "x"):
+        with pytest.raises(TypeError):
+            op()
+    assert identity_check(rf * 2, RationalFunction(rf.num * 2, rf.den))
+
+
 def test_rational_product_keeps_factors():
     a = rf_factored(ONE, (1, (2, 0)))
     b = rf_factored(one_plus(4, 1), (1, (4, 2)))
