@@ -2,13 +2,17 @@
 
 Monomials mix even (polynomial) generators with odd (exterior) ones;
 odd generators anticommute and square to zero.  Coefficients live in
-Q, Z or a prime field, all with arbitrary precision.
+Q, Z or a prime field, all with arbitrary precision.  grading_functional
+decides exactly whether a set of degrees admits a positive grading.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
+from math import gcd
 
 
 class StructuralError(ValueError):
@@ -42,6 +46,78 @@ class Degree:
 
 ZERO_DEGREE = Degree(0, 0, 0)
 T_STEP = Degree(0, 1, 0)  # the differential moves degrees by -T_STEP
+
+
+def _det(rows) -> int:
+    return 1 if not rows else sum(
+        (-1) ** j * x * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+        for j, x in enumerate(rows[0]) if x)
+
+
+def _dot(u, v) -> int:
+    return sum(a * b for a, b in zip(u, v))
+
+
+@lru_cache(maxsize=None)
+def grading_functional(strict: tuple, weak: tuple = ()):
+    """Gordan's alternative for integer vectors of dimension at most 3.
+
+    Returns (lam, None) with lam an integer point of the polyhedron
+    P = {lam : lam . v >= 1 for v in strict, lam . w >= 0 for w in weak},
+    or, when P is empty, (None, y): one nonnegative integer per vector of
+    strict + weak, with sum y_i v_i = 0 and y_i > 0 for some strict v_i
+    (Farkas' lemma: exactly one of the two exists).
+
+    Coordinates that complete the vectors to a basis are fixed at 0 (the
+    last ones first), which keeps P nonempty and makes it pointed.  Each
+    tight subsystem is solved by Cramer's rule and its solution divided
+    by the gcd, a multiple >= 1 of the vertex; lam is the least feasible
+    one by (max |lam_i|, lam).  y is the first circuit, a minimally
+    dependent set of at most rank + 1 vectors whose null vector (signed
+    maximal minors) has one sign, that holds a strict vector.  With no
+    vectors lam is ().
+    """
+    vecs = strict + weak
+    if not vecs:
+        return (), None
+    dim = len(vecs[0])
+    rhs = (1,) * len(strict) + (0,) * len(weak)
+    minor = lambda vs, cols: _det([tuple(v[c] for c in cols) for v in vs])
+    rank, free = next((k, cols) for k in range(dim, -1, -1)
+                      for cols in combinations(range(dim), k)
+                      if any(minor(vs, cols) for vs in combinations(vecs, k)))
+    feasible = []
+    for rows in combinations(range(len(vecs)), rank):
+        mat = [tuple(vecs[i][c] for c in free) for i in rows]
+        det = _det(mat)
+        if not det:
+            continue
+        sol = [_det([r[:j] + (rhs[i],) + r[j + 1:] for r, i in zip(mat, rows)])
+               for j in range(rank)]
+        scale = (gcd(*sol) or 1) * (1 if det > 0 else -1)
+        lam = [0] * dim
+        for c, x in zip(free, sol):
+            lam[c] = x // scale
+        if all(_dot(lam, v) >= b for v, b in zip(vecs, rhs)):
+            feasible.append((max(map(abs, lam)), tuple(lam)))
+    if feasible:
+        return min(feasible)[1], None
+    for size in range(1, rank + 2):
+        for idx in combinations(range(len(vecs)), size):
+            vs = [vecs[i] for i in idx]
+            for coords in combinations(range(dim), size - 1):
+                y = [(-1) ** i * minor(vs[:i] + vs[i + 1:], coords)
+                     for i in range(size)]
+                if any(y):
+                    break
+            y = [-c for c in y] if y[0] < 0 else y
+            if (idx[0] < len(strict) and all(c > 0 for c in y)
+                    and not any(_dot(y, col) for col in zip(*vs))):
+                witness = [0] * len(vecs)
+                for i, c in zip(idx, y):
+                    witness[i] = c // gcd(*y)
+                return None, tuple(witness)
+    raise ArithmeticError("neither a functional nor a witness")
 
 
 def _is_prime(p: int) -> bool:

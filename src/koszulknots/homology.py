@@ -2,8 +2,12 @@
 
 Graded pieces come from one enumerator over a (q, t) box, pruned by the
 size of the generator degrees: basis_at runs it on one degree and
-window_bases on a whole window.  Matrices of the differential are exact
-integer matrices, assembled by d_matrix from images compiled into
+window_bases on a whole window.  Its walk is bounded by an integer
+functional positive on every even generator degree, from the exact
+decision algebra.grading_functional; when no such functional exists the
+graded pieces are infinite, and the error names the exact witness, a
+product of even generators of degree zero.  Matrices of the differential
+are exact integer matrices, assembled by d_matrix from images compiled into
 exponent tuples; apply_d is the term-by-term reference the tests check it
 against.  Exact ranks and torsion come from one elimination kernel that
 removes unit pivots, with the general Smith loop on what remains.
@@ -17,9 +21,10 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field
-from operator import add
+from operator import add, mul
 
-from .algebra import CoefficientRing, Degree, Monomial, T_STEP
+from .algebra import (CoefficientRing, Degree, Monomial, T_STEP,
+                      grading_functional)
 from .presentations import Presentation
 
 
@@ -89,70 +94,15 @@ class HomologyGroup:
 # graded basis enumeration
 
 
-def _positive_functional(pres: Presentation):
-    """Integer functional lam with lam . deg(g) >= 1 for every even generator.
-
-    Existence certifies that every graded piece is finite.  Returns None when
-    no functional with small coefficients exists.
-    """
-    vecs = [(d.q, d.t, d.a) for d in pres.even_degrees]
-    if not vecs:
-        return (1, 0, 0)
-    use_a = any(v[2] for v in vecs) or any(d.a for d in pres.odd_degrees)
-    for radius in (2, 6, 20, 60):
-        a_range = range(-radius, radius + 1) if use_a else (0,)
-        for lq in range(-radius, radius + 1):
-            for lt in range(-radius, radius + 1):
-                for la in a_range:
-                    lam = (lq, lt, la)
-                    if all(lam[0] * v[0] + lam[1] * v[1] + lam[2] * v[2] >= 1
-                           for v in vecs):
-                        return lam
-    return None
-
-
-def _zero_degree_witness(pres: Presentation):
-    """Small nonnegative combination of even generators with total degree 0."""
-    n = pres.n_even
-    degs = pres.even_degrees
-    best = None
-    for total in range(2, 9):
-        for exps in itertools.combinations_with_replacement(range(n), total):
-            deg = Degree(0, 0, 0)
-            for i in exps:
-                deg = deg + degs[i]
-            if deg == Degree(0, 0, 0):
-                counts = [0] * n
-                for i in exps:
-                    counts[i] += 1
-                parts = [f"{pres.even_symbols[i]}^{c}" if c > 1
-                         else pres.even_symbols[i]
-                         for i, c in enumerate(counts) if c]
-                best = "*".join(parts)
-                return best
-    return best
-
-
-_functional_cache: dict = {}
-
-
-def _functional_for(pres: Presentation):
-    # keyed by the degree data the functional depends on, so distinct
-    # presentation objects with the same grading share one search
-    key = (pres.even_degrees, pres.odd_degrees)
-    if key not in _functional_cache:
-        _functional_cache[key] = _positive_functional(pres)
-    return _functional_cache[key]
-
-
 def _search(pres: Presentation, corners, bound: int | None) -> dict:
     """Monomials whose (q, t) lies in the box spanned by the corners.
 
     Returns (q, t, a) -> list of monomials, unsorted.  The walk is finite
     because of two budgets, each a weight per even generator and an
-    amount left: the positive functional lam (weights lam . deg_k >= 1,
-    amount max lam . corner minus the odd part, so every monomial of a
-    corner's degree is reached) and the exponent bound (weights 1).
+    amount left: the positive functional lam of grading_functional, with
+    every even degree strict (weights lam . deg_k >= 1, amount max
+    lam . corner minus the odd part, so every monomial of a corner's
+    degree is reached) and the exponent bound (weights 1).
 
     Pruning is by size.  Along a direction u of the (q, t) plane, with
     amount B of a budget left after generator i, generators k > i add at
@@ -164,20 +114,19 @@ def _search(pres: Presentation, corners, bound: int | None) -> dict:
     generator cannot move in, which fixes e when the box is one degree.
     For the last generator the interval is exact.
     """
-    lam = _functional_for(pres)
+    ev = tuple((d.q, d.t, d.a) for d in pres.even_degrees)
+    lam, witness = grading_functional(ev)
     if lam is None and bound is None:
-        witness = _zero_degree_witness(pres) or "(no small witness found)"
+        product = "*".join(s if e == 1 else f"{s}^{e}"
+                           for s, e in zip(pres.even_symbols, witness) if e)
         raise NonProperGradingError(
             f"{pres.name} has infinite graded pieces "
-            f"(degree-0 product witness: {witness}); pass an exponent bound")
-    ev = [(d.q, d.t, d.a) for d in pres.even_degrees]
+            f"(degree-0 product witness: {product}); pass an exponent bound")
     n = len(ev)
     weights = []
     if lam is not None:
-        weights.append(tuple(lam[0] * q + lam[1] * t + lam[2] * a
-                             for q, t, a in ev))
-        top = max(lam[0] * c.q + lam[1] * c.t + lam[2] * c.a
-                  for c in corners)
+        weights.append(tuple(sum(map(mul, lam, g)) for g in ev))
+        top = max(sum(map(mul, lam, (c.q, c.t, c.a))) for c in corners)
     if bound is not None:
         weights.append((1,) * n)
 
@@ -235,7 +184,7 @@ def _search(pres: Presentation, corners, bound: int | None) -> dict:
                 q, t, a = q + d.q, t + d.t, a + d.a
             budgets = []
             if lam is not None:
-                budgets.append(top - lam[0] * q - lam[1] * t - lam[2] * a)
+                budgets.append(top - sum(map(mul, lam, (q, t, a))))
             if bound is not None:
                 budgets.append(bound - size)
             if min(budgets) < 0:
@@ -260,9 +209,10 @@ def basis_at(pres: Presentation, deg: Degree, bound: int | None = None
     One call of the shared enumerator on the one-degree box, with the
     lam-budget lam . deg (the a-degree included); the monomials of other
     a-degrees it meets are dropped.  Without a bound the presentation must
-    be properly graded (a positive functional on even generator degrees
-    must exist); otherwise a NonProperGradingError names a degree-zero
-    product as witness.
+    be properly graded: grading_functional decides exactly whether an
+    integer functional is positive on every even generator degree, and
+    when none is, the NonProperGradingError names its exact witness, a
+    product of even generators of degree zero such as x^9*y.
     """
     found = _search(pres, [deg], bound).get((deg.q, deg.t, deg.a), [])
     return GradedBasis(deg, _sorted(found))

@@ -172,12 +172,6 @@ def reduced_presentation(n: int, N: int) -> Presentation:
                         full.odd_symbols[1:], full.odd_degrees[1:], images)
 
 
-def _x0_power(n_even: int, k: int, coeff=1) -> SuperPolynomial:
-    exp = [0] * n_even
-    exp[0] = k
-    return SuperPolynomial.from_monomial(ZZ, Monomial(tuple(exp)), coeff)
-
-
 _PROJECTOR_GENS = {
     # shape -> (even syms, even degs, odd syms, homfly odd degs)
     "[12]": (("x0", "x1"), (Degree(2, 0), Degree(4, 2)),

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import comb
 
+from .algebra import grading_functional
+
 
 class ExpansionError(ValueError):
     """The denominator admits no valid formal expansion region."""
@@ -330,37 +332,24 @@ def expand(rf: RationalFunction, window: SeriesWindow) -> dict:
     return out
 
 
-def _factored_functional(monomials):
-    """Integer (lq, lt) with lam.m >= 1, or lam.m = 0 and m lex-positive,
-    for every factor monomial m."""
-    def admissible(lam):
-        for q, t in monomials:
-            w = lam[0] * q + lam[1] * t
-            if w >= 1:
-                continue
-            if w == 0 and (t > 0 or (t == 0 and q > 0)):
-                continue
-            return False
-        return True
-
-    for radius in (1, 2, 3, 5, 8, 13):
-        for lq in range(-radius, radius + 1):
-            for lt in range(-radius, radius + 1):
-                if admissible((lq, lt)):
-                    return (lq, lt)
-    return None
-
-
 def _expand_factored(rf: RationalFunction, window: SeriesWindow) -> dict:
     if rf.num.has_a() or any(m[2] for _c, m in rf.den_factors):
         raise ExpansionError("expansion requires the a-grading eliminated")
+    # lam . m >= 1, or lam . m = 0 with m lex-positive, for every factor
+    # monomial m; an integer lam makes that lam . m >= 0 on the latter
     monos = [(m[0], m[1]) for _c, m in rf.den_factors]
-    lam = _factored_functional(monos)
+    up = [t > 0 or (t == 0 and q > 0) for q, t in monos]
+    strict = tuple(m for m, u in zip(monos, up) if not u)
+    weak = tuple(m for m, u in zip(monos, up) if u)
+    lam, witness = grading_functional(strict, weak)
     if lam is None:
+        combo = " + ".join(f"{c}*{m}" if c > 1 else str(m)
+                           for c, m in zip(witness, strict + weak) if c)
         raise ExpansionError(
-            "no positive functional certifies a common expansion region "
-            f"for denominator monomials {monos}")
-    weight = lambda q, t: lam[0] * q + lam[1] * t
+            "no common expansion region: the denominator exponents (q, t) "
+            f"sum to zero as {combo}, with a lex-negative one among them")
+    lq, lt = lam or (0, 0)
+    weight = lambda q, t: lq * q + lt * t
     lam_max = max(weight(q, t)
                   for q in (window.qmin, window.qmax)
                   for t in (window.tmin, window.tmax))

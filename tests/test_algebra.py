@@ -1,11 +1,13 @@
 """Supercommutative algebra layer: monomials, signs, coefficient rings."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from koszulknots.algebra import (CoefficientRing, Degree, Monomial, QQ,
-                                 SuperPolynomial, ZZ, mono_degree, mono_mul,
-                                 prime_field)
+                                 SuperPolynomial, ZZ, grading_functional,
+                                 mono_degree, mono_mul, prime_field)
 from koszulknots.presentations import stable_presentation
 
 
@@ -194,3 +196,38 @@ def test_text_rendering():
         ZZ, 2, {Monomial((2, 0), (0,)): -3, Monomial((0, 1)): 1})
     s = p.text(pres)
     assert "x0" in s and "xi0" in s and "-3" in s
+
+
+# ---------------------------------------------------------------------------
+# grading functional
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+@st.composite
+def split_vectors(draw):
+    dim = draw(st.sampled_from([2, 3]))
+    vecs = draw(st.lists(st.tuples(*[st.integers(-5, 5)] * dim), max_size=6))
+    strict = draw(st.lists(st.booleans(), min_size=len(vecs),
+                           max_size=len(vecs)))
+    return (dim, tuple(v for v, s in zip(vecs, strict) if s),
+            tuple(v for v, s in zip(vecs, strict) if not s))
+
+
+@settings(max_examples=500, deadline=None)
+@given(split_vectors())
+def test_grading_functional_certificate(case):
+    dim, strict, weak = case
+    lam, witness = grading_functional(strict, weak)
+    if lam is not None:
+        assert witness is None and len(lam) == (dim if strict + weak else 0)
+        assert all(_dot(lam, v) >= 1 for v in strict)
+        assert all(_dot(lam, w) >= 0 for w in weak)
+        return
+    assert len(witness) == len(strict + weak)
+    assert all(c >= 0 for c in witness) and any(witness[:len(strict)])
+    assert all(_dot(witness, col) == 0 for col in zip(*(strict + weak)))
+    for cand in itertools.product(range(-3, 4), repeat=dim):
+        assert not (all(_dot(cand, v) >= 1 for v in strict)
+                    and all(_dot(cand, w) >= 0 for w in weak)), cand

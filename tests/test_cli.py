@@ -175,8 +175,10 @@ def test_certify_unknown_name(capsys):
 
 
 def test_certify_bad_parameters(capsys):
-    code, _out, err = run(capsys, "certify", "--name", "tp:4,2")
-    assert code == 2 and "error" in err
+    # input errors reach main's one handler: "error:" and exit 2
+    for name in ("tp:4,2", "tp:4,3", "tp:x"):
+        code, _out, err = run(capsys, "certify", "--name", name)
+        assert code == 2 and err.startswith("error:"), name
 
 
 # ---------------------------------------------------------------------------

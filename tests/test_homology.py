@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from koszulknots.algebra import Degree, Monomial, QQ, SuperPolynomial, \
-    T_STEP, ZZ, mono_degree, prime_field
+    T_STEP, ZZ, grading_functional, mono_degree, prime_field
 from koszulknots.homology import (HomologyGroup, HomologyTable,
                                   IntegerMatrix,
                                   NonProperGradingError, Window, basis_at,
@@ -246,8 +246,41 @@ def test_window_bases_match_brute_force(pres, window, bound):
 
 
 def test_non_proper_grading_detected():
-    with pytest.raises(NonProperGradingError):
+    with pytest.raises(NonProperGradingError, match=r"witness: u\*v\)"):
         basis_at(_degenerate(), Degree(0, 0))
+
+
+def _even_only(name, *degrees):
+    symbols = ("x", "y", "z")[:len(degrees)]
+    return Presentation(name, symbols, degrees, (), (), ())
+
+
+def test_steep_grading_is_proper():
+    # lam = (141, 2) is the least functional positive on both degrees
+    steep = _even_only("steep", Degree(1, -70), Degree(-1, 71))
+    assert basis_at(steep, Degree(0, 1)).monomials == [Monomial((1, 1))]
+
+
+@pytest.mark.parametrize("degrees,witness", [
+    ((Degree(1, 0), Degree(-9, 0)), "x^9*y"),
+    ((Degree(0, 0), Degree(1, 0)), "x"),
+    ((Degree(2, 1, 1), Degree(-1, 0, -1), Degree(0, -1, 1)), "x*y^2*z"),
+])
+def test_non_proper_grading_names_exact_witness(degrees, witness):
+    pres = _even_only("flat", *degrees)
+    with pytest.raises(NonProperGradingError) as err:
+        basis_at(pres, Degree(0, 1))
+    assert f"witness: {witness})" in str(err.value)
+
+
+def test_grading_functional_of_benchmark_presentations():
+    # the lam-budget of _search, and with it the enumeration cost of the
+    # hook_Q and t59 benchmark tables, is fixed by these functionals
+    ev = lambda pres: tuple((d.q, d.t, d.a) for d in pres.even_degrees)
+    assert grading_functional(ev(projector_presentation("[12,3]", 3))) \
+        == ((3, -5, 0), None)
+    assert grading_functional(ev(stable_presentation(5, 3))) \
+        == ((1, -1, 0), None)
 
 
 def _d_matrix_cases():

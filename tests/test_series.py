@@ -158,8 +158,19 @@ def test_expand_unfactored_matches_factored(rf):
 def test_expand_rejects_mixed_orientation():
     # opposite factors admit no common expansion region
     rf = rf_factored(ONE, (1, (2, 2)), (1, (-2, -2)))
-    with pytest.raises(ExpansionError):
+    with pytest.raises(ExpansionError, match=r"\(-2, -2\) \+ \(2, 2\)"):
         expand(rf, SeriesWindow(-4, 4, -8, 8))
+    rf = rf_factored(ONE, (1, (1, -1)), (1, (-2, 2)), (1, (0, 1)))
+    with pytest.raises(ExpansionError, match=r"2\*\(1, -1\) \+ \(-2, 2\)"):
+        expand(rf, SeriesWindow(-4, 4, -8, 8))
+
+
+def test_expand_steep_factors():
+    # lam = (71, 1): weight 1 on q t^-70 and 0 on the lex-positive
+    # q^-1 t^71; q^a t^b with a = i - j, b = 71 j - 70 i gives j = b + 70 a
+    rf = rf_factored(ONE, (1, (1, -70)), (1, (-1, 71)))
+    assert expand(rf, SeriesWindow(0, 3, 0, 5)) \
+        == {(q, t): 1 for q in range(6) for t in range(4)}
 
 
 # ---------------------------------------------------------------------------
