@@ -226,6 +226,10 @@ def window_bases(pres: Presentation, window: Window,
     window extended by one t-step on both sides (the extra rows back the
     boundary matrices).  It is the enumerator of basis_at run once on the
     whole box, so a window costs one pruned walk instead of one per degree.
+    Each degree returned equals basis_at's, and the a = 0 slice is whole.
+    A degree at a != 0 is returned only if lam . deg is within the walk's
+    lam-budget; the rest may be infinitely many (x z has degree (0, 0, 1)
+    for even degrees (1, 0, 1) and (-1, 0, 0)), so ask basis_at for them.
     """
     corners = [Degree(q, t) for q in (window.qmin, window.qmax)
                for t in (window.tmin - 1, window.tmax + 1)]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import CoefficientRing, Degree
+from .algebra import CoefficientRing
 from .homology import HomologyTable
 
 
@@ -131,7 +131,7 @@ def parse_table(text: str) -> ExternalTable:
 
 
 def _prime_power_multiset(factors, primes=None):
-    """Invariant factors -> sorted prime-power list, optionally filtered."""
+    """Cyclic orders -> sorted prime-power list, optionally filtered."""
     out = []
     for f in factors:
         d = 2
@@ -193,23 +193,14 @@ def compare(model: HomologyTable, ext: ExternalTable, shift="auto",
     if ext.ring is not None and ext.ring != model.ring:
         raise ValueError(f"coefficient ring mismatch: model {model.ring}, "
                          f"data {ext.ring}")
-    data = ext.qt_cells()
-    if torsion_primes is not None:
-        data = {k: (r, tuple(pw for pw in tor
-                             if any(pw % p == 0 and _pure_power(pw, p)
-                                    for p in torsion_primes)))
-                for k, (r, tor) in data.items()}
-
-    def model_cell(deg):
-        g = model.groups.get(deg)
-        if g is None:
-            return (0, ())
-        return (g.free_rank,
-                _prime_power_multiset(g.torsion, torsion_primes))
-
-    model_cells = {(d.q, d.t): model_cell(d)
-                   for d in model.groups
-                   if model_cell(d) != (0, ())}
+    # both sides as prime-power multisets, so tor=6 matches Z/6
+    data = {k: (r, _prime_power_multiset(tor, torsion_primes))
+            for k, (r, tor) in ext.qt_cells().items()}
+    model_cells = {}
+    for d, g in model.groups.items():
+        cell = (g.free_rank, _prime_power_multiset(g.torsion, torsion_primes))
+        if cell != (0, ()):
+            model_cells[(d.q, d.t)] = cell
 
     if shift == "auto":
         if not model_cells or not data:
@@ -230,10 +221,7 @@ def compare(model: HomologyTable, ext: ExternalTable, shift="auto",
     keys = {(q + s, t) for q, t in model_cells} | set(data)
     mismatches = []
     for q, t in sorted(keys, key=lambda k: (k[1], k[0])):
-        mdl = model.groups.get(Degree(q - s, t))
-        mc = (mdl.free_rank, _prime_power_multiset(mdl.torsion,
-                                                   torsion_primes)) \
-            if mdl else (0, ())
+        mc = model_cells.get((q - s, t), (0, ()))
         dc = data.get((q, t), (0, ()))
         if mc != dc:
             mismatches.append((t, q, mc, dc))
@@ -247,8 +235,3 @@ def compare(model: HomologyTable, ext: ExternalTable, shift="auto",
         region = None
     return DiffReport(s, first, mismatches, len(keys), region)
 
-
-def _pure_power(value: int, p: int) -> bool:
-    while value % p == 0:
-        value //= p
-    return value == 1

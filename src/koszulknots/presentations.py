@@ -25,7 +25,7 @@ class Presentation:
     """
 
     def __init__(self, name, even_symbols, even_degrees, odd_symbols,
-                 odd_degrees, d_images, check=True):
+                 odd_degrees, d_images):
         self.name = name
         self.even_symbols = tuple(even_symbols)
         self.even_degrees = tuple(even_degrees)
@@ -33,8 +33,7 @@ class Presentation:
         self.odd_degrees = tuple(odd_degrees)
         self.d_images = tuple(d_images)
         self.homogeneity_violations = []
-        if check:
-            self._validate()
+        self._validate()
 
     @property
     def n_even(self):
@@ -80,17 +79,6 @@ class Presentation:
             return SuperPolynomial.from_monomial(
                 ring, Monomial((0,) * self.n_even, (j,)))
         raise KeyError(symbol)
-
-    def describe(self) -> str:
-        """Serialization for CLI inspection: generators, degrees, images."""
-        lines = [f"presentation {self.name}"]
-        for s, d in zip(self.even_symbols, self.even_degrees):
-            lines.append(f"  even {s}: {d}")
-        for j, (s, d) in enumerate(zip(self.odd_symbols, self.odd_degrees)):
-            img = self.d_images[j]
-            img_text = "0" if img is None or img.is_zero() else img.text(self)
-            lines.append(f"  odd {s}: {d}; d({s}) = {img_text}")
-        return "\n".join(lines)
 
 
 def apply_d(pres: Presentation, p: SuperPolynomial) -> SuperPolynomial:

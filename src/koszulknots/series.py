@@ -273,10 +273,10 @@ def expand(rf: RationalFunction, window: SeriesWindow) -> dict:
     (1 - c m) expands geometrically in its own monomial m; this is the
     region where all catalogued generators are "small" and matches the
     graded dimensions of the corresponding algebras.  Otherwise the region
-    is fixed by the (t, then q) monomial order: the denominator must have
-    a unique minimal term with coefficient +-1 and all other terms
-    strictly above it.  Returns a (q, t) -> int map over the window
-    (a-graded input is rejected).
+    is fixed by the (t, then q) monomial order: num is divided by den in
+    the one division loop that exact_divide also runs, _quotient_terms,
+    so den's least term must have coefficient +-1.  Returns a (q, t) -> int
+    map over the window (a-graded input is rejected).
     """
     if rf.den_factors is not None:
         return _expand_factored(rf, window)
@@ -289,46 +289,16 @@ def expand(rf: RationalFunction, window: SeriesWindow) -> dict:
     if abs(c0) != 1:
         raise ExpansionError(
             f"leading denominator coefficient {c0} is not a unit")
-    offsets = []
-    for m in den.terms:
-        if m == m0:
-            continue
-        off = (m[0] - m0[0], m[1] - m0[1])
-        if not (off[1] > 0 or (off[1] == 0 and off[0] > 0)):
-            raise ExpansionError(
-                "no valid expansion region: denominator offset "
-                f"q^{off[0]} t^{off[1]} is not positively oriented")
-        offsets.append(off)
-    neg_q = max((0,) + tuple(-off[0] for off in offsets))
-
-    # the remainder is keyed (t, q), so tuple order is the expansion order;
-    # see exact_divide for why one heap entry per key suffices
-    rem = {(t - m0[1], q - m0[0]): c for (q, t, _a), c in num.terms.items()}
-    heap = list(rem)
-    heapify(heap)
-    tail = [((m[1] - m0[1], m[0] - m0[0]), c)
-            for m, c in den.terms.items() if m != m0]
+    tmax, qmax = window.tmax, window.qmax
+    # slack covers denominator terms that can still lower q before t runs out
+    neg_q = max(m0[0] - m[0] for m in den.terms)
     out = {}
-    while heap:
-        t, q = key = heappop(heap)
-        coeff = rem.pop(key) * c0  # c0 = +-1
-        if not coeff:
-            continue
-        if t > window.tmax:
+    for (t, q, _a), c in _quotient_terms(
+            num, den, lambda t, q: q > qmax + neg_q * (tmax - t + 1)):
+        if t > tmax:
             break
-        # slack covers offsets that can still lower q before t runs out
-        if q > window.qmax + neg_q * (window.tmax - t + 1):
-            continue
         if window.contains(q, t):
-            out[(q, t)] = coeff
-        for (dt, dq), c in tail:
-            nxt = (t + dt, q + dq)
-            v = rem.get(nxt)
-            if v is None:
-                rem[nxt] = -coeff * c
-                heappush(heap, nxt)
-            else:
-                rem[nxt] = v - coeff * c
+            out[(q, t)] = c * c0  # c / c0, as c0 = +-1
     return out
 
 
@@ -387,47 +357,34 @@ def _expand_factored(rf: RationalFunction, window: SeriesWindow) -> dict:
             if window.contains(q, t)}
 
 
-def exact_divide(num: LaurentPoly, den: LaurentPoly):
-    """num/den as a LaurentPoly, or None when the division is not exact.
+def _quotient_terms(num: LaurentPoly, den: LaurentPoly, skip=None):
+    """The one division loop of exact_divide and expand.
 
-    Sparse division in the (t, q, a) order with the remainder's least term
-    taken from a heap (Monagan-Pearce, CASC 2007).  Every non-leading
-    denominator term lies strictly above the leading one, so a key popped
-    from the heap never comes back; one heap entry per key suffices, and a
-    remainder entry that cancelled to zero stays in place until popped.
+    Yields ((t, q, a), c): a quotient exponent, relative to den's least
+    term m0 in the (t, q, a) order, and the remainder coefficient c there.
+    The products of the quotient coefficient c // c0 with den's other
+    terms are subtracted when the next term is asked for; skip(t, q) drops
+    a term together with everything it would add.  The least remainder key
+    is popped from a heap (Monagan-Pearce, CASC 2007).  Every other term
+    of den lies strictly above m0, so a popped key never comes back: one
+    heap entry per key suffices, and a cancelled entry stays at 0 until
+    popped.
     """
-    if den.is_zero():
-        raise ZeroDivisionError("zero denominator")
-    if num.is_zero():
-        return LaurentPoly.zero()
     m0, c0 = den.min_term()
     q0, t0, a0 = m0
-    # Newton-polytope box: in an exact division every quotient exponent is
-    # boxed coordinatewise by min(num) - max(den) and max(num) - min(den).
-    lo = tuple(min(m[i] for m in num.terms)
-               - max(m[i] for m in den.terms) for i in range(3))
-    hi = tuple(max(m[i] for m in num.terms)
-               - min(m[i] for m in den.terms) for i in range(3))
-    # the remainder is keyed (t, q, a), so tuple order is the division order
-    rem = {(t, q, a): c for (q, t, a), c in num.terms.items()}
+    rem = {(t - t0, q - q0, a - a0): c for (q, t, a), c in num.terms.items()}
     heap = list(rem)
     heapify(heap)
     tail = [((m[1] - t0, m[0] - q0, m[2] - a0), c)
             for m, c in den.terms.items() if m != m0]
-    quo = {}
     get, push = rem.get, heappush
     while heap:
         t, q, a = key = heappop(heap)
         c = rem.pop(key)
-        if not c:
+        if not c or (skip is not None and skip(t, q)):
             continue
-        if c % c0:
-            return None
-        sigma = (q - q0, t - t0, a - a0)
-        if any(not lo[i] <= sigma[i] <= hi[i] for i in range(3)):
-            return None
+        yield key, c
         coeff = c // c0
-        quo[sigma] = coeff
         for (dt, dq, da), cc in tail:
             nxt = (t + dt, q + dq, a + da)
             v = get(nxt)
@@ -436,6 +393,34 @@ def exact_divide(num: LaurentPoly, den: LaurentPoly):
                 push(heap, nxt)
             else:
                 rem[nxt] = v - coeff * cc
+
+
+def exact_divide(num: LaurentPoly, den: LaurentPoly):
+    """num/den as a LaurentPoly, or None when the division is not exact.
+
+    Runs the one division loop, _quotient_terms, which expand shares, and
+    stops at the first quotient term whose coefficient c0 does not divide
+    or whose exponent leaves the Newton-polytope box.
+    """
+    if den.is_zero():
+        raise ZeroDivisionError("zero denominator")
+    if num.is_zero():
+        return LaurentPoly.zero()
+    c0 = den.min_term()[1]
+    # Newton-polytope box: in an exact division every quotient exponent is
+    # boxed coordinatewise by min(num) - max(den) and max(num) - min(den).
+    lo = tuple(min(m[i] for m in num.terms)
+               - max(m[i] for m in den.terms) for i in range(3))
+    hi = tuple(max(m[i] for m in num.terms)
+               - min(m[i] for m in den.terms) for i in range(3))
+    quo = {}
+    for (t, q, a), c in _quotient_terms(num, den):
+        if c % c0:
+            return None
+        sigma = (q, t, a)
+        if any(not lo[i] <= sigma[i] <= hi[i] for i in range(3)):
+            return None
+        quo[sigma] = c // c0
     return LaurentPoly(quo)
 
 

@@ -255,6 +255,21 @@ def _even_only(name, *degrees):
     return Presentation(name, symbols, degrees, (), (), ())
 
 
+def test_window_bases_even_a_degrees():
+    # lam = (-1, 1, 2): x^k z^k has degree (0, 0, k) for every k, so the
+    # box holds infinitely many nonempty a-degrees; each one returned must
+    # equal basis_at, and no nonempty a = 0 degree may be missing
+    pres = _even_only("even-a", Degree(1, 0, 1), Degree(0, 1, 0),
+                      Degree(-1, 0, 0))
+    window = Window(-3, 3, 0, 2)
+    bases = window_bases(pres, window)
+    assert len(bases) == 60 and {d.a for d in bases} == {0, 1, 2, 3, 4}
+    for deg, basis in bases.items():
+        assert basis.monomials == basis_at(pres, deg).monomials, deg
+    for deg in _box(window):
+        assert (deg in bases) == bool(basis_at(pres, deg).monomials), deg
+
+
 def test_steep_grading_is_proper():
     # lam = (141, 2) is the least functional positive on both degrees
     steep = _even_only("steep", Degree(1, -70), Degree(-1, 71))

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from koszulknots.algebra import Degree, ZZ, prime_field
-from koszulknots.homology import Window, homology_table
+from koszulknots.homology import (HomologyGroup, HomologyTable, Window,
+                                  homology_table)
 from koszulknots.interface import (ExternalTable, TableFormatError, compare,
                                    parse_table)
 from koszulknots.presentations import stable_presentation
@@ -156,6 +157,17 @@ def test_compare_torsion_prime_filter():
     ext.cells[(11, 16 - 22)] = (g.free_rank, ((5, 1),))
     report = compare(model, ext, torsion_primes={5})
     assert report.agree
+
+
+def test_compare_composite_torsion():
+    # a data cell tor=6 is Z/6: both sides split into prime powers (2, 3)
+    model = HomologyTable("z6", ZZ, Window(0, 0, 0, 0),
+                          {Degree(0, 0): HomologyGroup(1, (6,))})
+    ext = parse_table("t=0, dd=0, rank=1, tor=6")
+    assert compare(model, ext).agree
+    assert compare(model, ext, torsion_primes={3}).agree
+    worse = compare(model, parse_table("t=0, dd=0, rank=1, tor=3"))
+    assert worse.mismatches == [(0, 0, (1, (2, 3)), (1, (3,)))]
 
 
 def test_compare_misaligned_lowest_t():

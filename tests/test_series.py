@@ -155,6 +155,17 @@ def test_expand_unfactored_matches_factored(rf):
     assert expand(RationalFunction(rf.num, rf.den), window) == coeffs
 
 
+def test_expand_unfactored_leading_coefficient():
+    # a leading coefficient -1 negates the expansion; 2 is refused
+    window = SeriesWindow(0, 2, 0, 10)
+    plus = expand(RationalFunction(ONE, one_minus(2)), window)
+    assert plus == {(q, 0): 1 for q in range(0, 11, 2)}
+    assert expand(RationalFunction(ONE, -one_minus(2)), window) \
+        == {k: -v for k, v in plus.items()}
+    with pytest.raises(ExpansionError, match="is not a unit"):
+        expand(RationalFunction(ONE, one_minus(2) * 2), window)
+
+
 def test_expand_rejects_mixed_orientation():
     # opposite factors admit no common expansion region
     rf = rf_factored(ONE, (1, (2, 2)), (1, (-2, -2)))
@@ -190,6 +201,12 @@ def test_exact_divide_rejects_non_multiple():
     den = ONE + qta(2) + qta(4)
     assert exact_divide(num, den) is None
     assert exact_divide(ONE + qta(2), ONE + qta(2) + qta(4)) is None
+
+
+def test_exact_divide_leading_coefficient_two():
+    two_q = one_plus(1) * 2  # 2 + 2q
+    assert exact_divide(two_q * one_plus(0, 1), two_q) == one_plus(0, 1)
+    assert exact_divide(one_plus(1), qta(coeff=2)) is None
 
 
 def test_exact_divide_zero_denominator():
