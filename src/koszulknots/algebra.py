@@ -3,7 +3,9 @@
 Monomials mix even (polynomial) generators with odd (exterior) ones;
 odd generators anticommute and square to zero.  Coefficients live in
 Q, Z or a prime field, all with arbitrary precision.  grading_functional
-decides exactly whether a set of degrees admits a positive grading.
+decides exactly whether a set of degrees admits a positive grading, and
+exponent_rows prunes the walk it bounds to a (q, t) box: the one graded
+walk of homology's enumerator and of series' factored expansion.
 """
 
 from __future__ import annotations
@@ -59,14 +61,13 @@ def _dot(u, v) -> int:
 
 
 @lru_cache(maxsize=None)
-def grading_functional(strict: tuple, weak: tuple = ()):
+def grading_functional(vecs: tuple):
     """Gordan's alternative for integer vectors of dimension at most 3.
 
     Returns (lam, None) with lam an integer point of the polyhedron
-    P = {lam : lam . v >= 1 for v in strict, lam . w >= 0 for w in weak},
-    or, when P is empty, (None, y): one nonnegative integer per vector of
-    strict + weak, with sum y_i v_i = 0 and y_i > 0 for some strict v_i
-    (Farkas' lemma: exactly one of the two exists).
+    P = {lam : lam . v >= 1 for v in vecs}, or, when P is empty,
+    (None, y): one nonnegative integer per vector, not all 0, with
+    sum y_i v_i = 0 (exactly one of the two exists).
 
     Coordinates that complete the vectors to a basis are fixed at 0 (the
     last ones first), which keeps P nonempty and makes it pointed.  Each
@@ -74,31 +75,28 @@ def grading_functional(strict: tuple, weak: tuple = ()):
     by the gcd, a multiple >= 1 of the vertex; lam is the least feasible
     one by (max |lam_i|, lam).  y is the first circuit, a minimally
     dependent set of at most rank + 1 vectors whose null vector (signed
-    maximal minors) has one sign, that holds a strict vector.  With no
-    vectors lam is ().
+    maximal minors) has one sign.  With no vectors lam is ().
     """
-    vecs = strict + weak
     if not vecs:
         return (), None
     dim = len(vecs[0])
-    rhs = (1,) * len(strict) + (0,) * len(weak)
     minor = lambda vs, cols: _det([tuple(v[c] for c in cols) for v in vs])
     rank, free = next((k, cols) for k in range(dim, -1, -1)
                       for cols in combinations(range(dim), k)
                       if any(minor(vs, cols) for vs in combinations(vecs, k)))
     feasible = []
-    for rows in combinations(range(len(vecs)), rank):
-        mat = [tuple(vecs[i][c] for c in free) for i in rows]
+    for rows in combinations(vecs, rank):
+        mat = [tuple(v[c] for c in free) for v in rows]
         det = _det(mat)
         if not det:
             continue
-        sol = [_det([r[:j] + (rhs[i],) + r[j + 1:] for r, i in zip(mat, rows)])
+        sol = [_det([r[:j] + (1,) + r[j + 1:] for r in mat])
                for j in range(rank)]
         scale = (gcd(*sol) or 1) * (1 if det > 0 else -1)
         lam = [0] * dim
         for c, x in zip(free, sol):
             lam[c] = x // scale
-        if all(_dot(lam, v) >= b for v, b in zip(vecs, rhs)):
+        if all(_dot(lam, v) >= 1 for v in vecs):
             feasible.append((max(map(abs, lam)), tuple(lam)))
     if feasible:
         return min(feasible)[1], None
@@ -111,13 +109,60 @@ def grading_functional(strict: tuple, weak: tuple = ()):
                 if any(y):
                     break
             y = [-c for c in y] if y[0] < 0 else y
-            if (idx[0] < len(strict) and all(c > 0 for c in y)
+            if (all(c > 0 for c in y)
                     and not any(_dot(y, col) for col in zip(*vs))):
                 witness = [0] * len(vecs)
                 for i, c in zip(idx, y):
                     witness[i] = c // gcd(*y)
                 return None, tuple(witness)
     raise ArithmeticError("neither a functional nor a witness")
+
+
+def exponent_rows(gens, weights, corners):
+    """Yields, per generator, the rows that prune its exponent to the box.
+
+    gens are degrees (q, t, ...) walked in order, each spending weights[i]
+    >= 1 of a budget per unit of exponent; corners (q, t) span the box.
+    Along a direction u of the (q, t) plane, with B of the budget left
+    after generator i, generators k > i move u . (q, t) by at most B r,
+    r = max(0, max_k u . deg_k / w_k), and at least B r', r' = min(0,
+    min_k u . deg_k / w_k).  Both bounds are linear in the exponent e of
+    generator i, so a row (u, v, edge, s, k, D, N) says e k >= s ((edge -
+    u q - v t) D - B N): the box edge on side s is still in reach, with
+    N / D = r (s = 1) or r' (s = -1).  The directions are q, t and, for
+    the generator before the last, the one the last cannot move in, which
+    fixes e when the box is one degree; the last one's interval is exact.
+    """
+    for i, gen in enumerate(gens):
+        dirs = [(1, 0), (0, 1)]
+        if i == len(gens) - 2:
+            dirs.append((gens[-1][1], -gens[-1][0]))
+        rows = []
+        for u, v in dirs:
+            ends = [u * q + v * t for q, t in corners]
+            for s, edge in ((1, min(ends)), (-1, max(ends))):
+                num, den = 0, 1
+                for g, wk in zip(gens[i + 1:], weights[i + 1:]):
+                    if s * (u * g[0] + v * g[1]) * den > s * num * wk:
+                        num, den = u * g[0] + v * g[1], wk
+                k = s * ((u * gen[0] + v * gen[1]) * den - weights[i] * num)
+                rows.append((u, v, edge, s, k, den, num))
+        yield rows
+
+
+def exponent_range(rows, q, t, budget, weight):
+    """(lo, hi): the exponents e >= 0, e weight <= budget, from which the
+    box of exponent_rows is still in reach at (q, t); lo > hi if none."""
+    lo, hi = 0, budget // weight
+    for u, v, edge, s, k, den, num in rows:
+        rhs = s * ((edge - u * q - v * t) * den - budget * num)
+        if k > 0:
+            lo = max(lo, -(-rhs // k))
+        elif k < 0:
+            hi = min(hi, rhs // k)
+        elif rhs > 0:
+            return 0, -1
+    return lo, hi
 
 
 def _is_prime(p: int) -> bool:

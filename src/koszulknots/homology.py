@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from operator import add, mul
 
 from .algebra import (CoefficientRing, Degree, Monomial, T_STEP,
-                      grading_functional)
+                      exponent_range, exponent_rows, grading_functional)
 from .presentations import Presentation
 
 
@@ -99,20 +99,11 @@ def _search(pres: Presentation, corners, bound: int | None) -> dict:
 
     Returns (q, t, a) -> list of monomials, unsorted.  The walk is finite
     because of two budgets, each a weight per even generator and an
-    amount left: the positive functional lam of grading_functional, with
-    every even degree strict (weights lam . deg_k >= 1, amount max
-    lam . corner minus the odd part, so every monomial of a corner's
-    degree is reached) and the exponent bound (weights 1).
-
-    Pruning is by size.  Along a direction u of the (q, t) plane, with
-    amount B of a budget left after generator i, generators k > i add at
-    most B r to u . (q, t), where r = max(0, max_k u . deg_k / w_k), and
-    at least B r' with r' = min(0, min_k u . deg_k / w_k).  Both bounds are
-    linear in the exponent e of generator i, so each budget narrows e to
-    an interval from which the box can still be reached: along q, along t
-    and, for the generator before the last, along the direction the last
-    generator cannot move in, which fixes e when the box is one degree.
-    For the last generator the interval is exact.
+    amount left: the functional lam of grading_functional on the even
+    degrees (weights lam . deg_k >= 1, amount max lam . corner minus the
+    odd part, so every monomial of a corner's degree is reached) and the
+    exponent bound (weights 1).  Under each, algebra.exponent_rows prunes
+    every exponent to the values from which the box can still be reached.
     """
     ev = tuple((d.q, d.t, d.a) for d in pres.even_degrees)
     lam, witness = grading_functional(ev)
@@ -130,50 +121,24 @@ def _search(pres: Presentation, corners, bound: int | None) -> dict:
     if bound is not None:
         weights.append((1,) * n)
 
-    def limits(ws, i):
-        # rows (u, v, edge, s, k, D, N): e k >= s ((edge - u q - v t) D
-        # - B N) says that generators i.. can still move u q + v t to the
-        # box edge on side s; N / D is r (s = 1) or r' (s = -1)
-        dirs = [(1, 0), (0, 1)]
-        if i == n - 2:
-            dirs.append((ev[-1][1], -ev[-1][0]))
-        rows = []
-        for u, v in dirs:
-            ends = [u * c.q + v * c.t for c in corners]
-            for s, edge in ((1, min(ends)), (-1, max(ends))):
-                num, den = 0, 1
-                for g, wk in zip(ev[i + 1:], ws[i + 1:]):
-                    if s * (u * g[0] + v * g[1]) * den > s * num * wk:
-                        num, den = u * g[0] + v * g[1], wk
-                k = s * ((u * ev[i][0] + v * ev[i][1]) * den - ws[i] * num)
-                rows.append((u, v, edge, s, k, den, num))
-        return rows
-
-    table = [[(ws[i], limits(ws, i)) for ws in weights] for i in range(n)]
-    buckets: dict = {}
+    box = [(c.q, c.t) for c in corners]
+    table = [(ws, list(exponent_rows(ev, ws, box))) for ws in weights]
+    found_at: dict = {}
 
     def dfs(i, pos, exps, budgets, odd):
         q, t, a = pos
-        lo, hi = 0, None
-        for b, (w, rows) in zip(budgets, table[i]):
-            if hi is None or b // w < hi:
-                hi = b // w
-            for u, v, edge, s, k, den, num in rows:
-                rhs = s * ((edge - u * q - v * t) * den - b * num)
-                if k > 0:
-                    lo = max(lo, -(-rhs // k))
-                elif k < 0:
-                    hi = min(hi, rhs // k)
-                elif rhs > 0:
-                    return
+        lo, hi = 0, budgets[0]
+        for b, (ws, rows) in zip(budgets, table):
+            blo, bhi = exponent_range(rows[i], q, t, b, ws[i])
+            lo, hi = max(lo, blo), min(hi, bhi)
         dq, dt, da = ev[i]
         for e in range(lo, hi + 1):
             at = (q + e * dq, t + e * dt, a + e * da)
             if i == n - 1:
-                buckets.setdefault(at, []).append(Monomial(exps + (e,), odd))
+                found_at.setdefault(at, []).append(Monomial(exps + (e,), odd))
             else:
                 dfs(i + 1, at, exps + (e,),
-                    [b - e * w for b, (w, _rows) in zip(budgets, table[i])],
+                    [b - e * ws[i] for b, (ws, _rows) in zip(budgets, table)],
                     odd)
 
     for size in range(pres.n_odd + 1):
@@ -191,11 +156,9 @@ def _search(pres: Presentation, corners, bound: int | None) -> dict:
                 continue
             if n:
                 dfs(0, (q, t, a), (), budgets, S)
-            elif (min(c.q for c in corners) <= q <= max(c.q for c in corners)
-                  and min(c.t for c in corners) <= t
-                  <= max(c.t for c in corners)):
-                buckets.setdefault((q, t, a), []).append(Monomial((), S))
-    return buckets
+            elif all(min(x) <= y <= max(x) for x, y in zip(zip(*box), (q, t))):
+                found_at.setdefault((q, t, a), []).append(Monomial((), S))
+    return found_at
 
 
 def _sorted(monos):
@@ -532,11 +495,16 @@ class HomologyTable:
                 else:
                     fields = dict(kv.strip().split("=", 1)
                                   for kv in line.split(","))
+                    unknown = set(fields) - {"q", "t", "rank", "tor"}
+                    if unknown:
+                        raise ValueError(f"unknown field(s) {sorted(unknown)}")
                     tor = ()
                     if "tor" in fields:
                         tor = tuple(int(x) for x in fields["tor"].split(";"))
-                    groups[Degree(int(fields["q"]), int(fields["t"]))] = \
-                        HomologyGroup(int(fields["rank"]), tor)
+                    deg = Degree(int(fields["q"]), int(fields["t"]))
+                    if deg in groups:
+                        raise ValueError(f"duplicate cell {deg}")
+                    groups[deg] = HomologyGroup(int(fields["rank"]), tor)
             except (KeyError, ValueError) as exc:
                 raise ValueError(f"line {lineno}: malformed line {raw!r} "
                                  f"({exc})") from exc

@@ -203,13 +203,12 @@ def compare(model: HomologyTable, ext: ExternalTable, shift="auto",
             model_cells[(d.q, d.t)] = cell
 
     if shift == "auto":
-        if not model_cells or not data:
+        live = [k for k, c in data.items() if c != (0, ())]
+        if not model_cells or not live:
             s = 0
         else:
-            mq, mt = min(((q, t) for q, t in model_cells),
-                         key=lambda k: (k[1], k[0]))
-            dq, dt = min(((q, t) for (q, t), c in data.items()
-                          if c != (0, ())), key=lambda k: (k[1], k[0]))
+            mq, mt = min(model_cells, key=lambda k: (k[1], k[0]))
+            dq, dt = min(live, key=lambda k: (k[1], k[0]))
             if mt != dt:
                 raise ValueError(
                     "cannot auto-align: lowest cells differ in t "

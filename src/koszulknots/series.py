@@ -4,7 +4,8 @@ Rational functions are plain numerator/denominator pairs over Laurent
 polynomials with integer coefficients; equality is decided by
 cross-multiplication.  The catalogue collects every closed-form Poincare
 series used by the package, plus the torus-knot assemblies built from
-projector series.
+projector series.  A factored expansion walks its factors as homology's
+enumerator walks generators, pruned by algebra.exponent_rows.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import comb
 
-from .algebra import grading_functional
+from .algebra import exponent_range, exponent_rows, grading_functional
 
 
 class ExpansionError(ValueError):
@@ -305,46 +306,32 @@ def expand(rf: RationalFunction, window: SeriesWindow) -> dict:
 def _expand_factored(rf: RationalFunction, window: SeriesWindow) -> dict:
     if rf.num.has_a() or any(m[2] for _c, m in rf.den_factors):
         raise ExpansionError("expansion requires the a-grading eliminated")
-    # lam . m >= 1, or lam . m = 0 with m lex-positive, for every factor
-    # monomial m; an integer lam makes that lam . m >= 0 on the latter
-    monos = [(m[0], m[1]) for _c, m in rf.den_factors]
-    up = [t > 0 or (t == 0 and q > 0) for q, t in monos]
-    strict = tuple(m for m, u in zip(monos, up) if not u)
-    weak = tuple(m for m, u in zip(monos, up) if u)
-    lam, witness = grading_functional(strict, weak)
+    # lam . m >= 1 on every factor monomial; a witness weighs a lex-negative
+    # (or zero) one, as lex-positive ones never sum to 0: list those first
+    monos = tuple((m[0], m[1]) for _c, m in rf.den_factors)
+    order = tuple(sorted(monos, key=lambda m: (m[1], m[0]) > (0, 0)))
+    lam, witness = grading_functional(order)
     if lam is None:
         combo = " + ".join(f"{c}*{m}" if c > 1 else str(m)
-                           for c, m in zip(witness, strict + weak) if c)
+                           for c, m in zip(witness, order) if c)
         raise ExpansionError(
             "no common expansion region: the denominator exponents (q, t) "
             f"sum to zero as {combo}, with a lex-negative one among them")
     lq, lt = lam or (0, 0)
     weight = lambda q, t: lq * q + lt * t
-    lam_max = max(weight(q, t)
-                  for q in (window.qmin, window.qmax)
-                  for t in (window.tmin, window.tmax))
-
-    # positive-weight factors first; zero-weight ones only push (t, q)
-    # lex-upward, so handle t-raising ones next and pure-q ones last
-    def bucket(item):
-        _c, (q, t, _a) = item
-        w = weight(q, t)
-        return 0 if w >= 1 else (1 if t > 0 else 2)
-
+    corners = [(q, t) for q in (window.qmin, window.qmax)
+               for t in (window.tmin, window.tmax)]
+    top = max(weight(*c) for c in corners)
+    weights = [weight(*m) for m in monos]
+    rows = exponent_rows(monos, weights, corners)
     coeffs = {(q, t): c for (q, t, _a), c in rf.num.terms.items()
-              if weight(q, t) <= lam_max}
-    for c, (mq, mt, _a) in sorted(rf.den_factors, key=bucket):
-        w = weight(mq, mt)
+              if weight(q, t) <= top}
+    for (c, _m), (mq, mt), w, r in zip(rf.den_factors, monos, weights, rows):
         new: dict = {}
         for (q, t), v in coeffs.items():
-            if w >= 1:
-                k_max = (lam_max - weight(q, t)) // w
-            elif mt > 0:
-                k_max = (window.tmax - t) // mt
-            else:
-                k_max = (window.qmax - q) // mq
-            acc = v
-            for k in range(k_max + 1):
+            lo, hi = exponent_range(r, q, t, top - weight(q, t), w)
+            acc = v * c ** lo
+            for k in range(lo, hi + 1):
                 key = (q + k * mq, t + k * mt)
                 nv = new.get(key, 0) + acc
                 if nv:

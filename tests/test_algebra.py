@@ -1,6 +1,8 @@
 """Supercommutative algebra layer: monomials, signs, coefficient rings."""
 
 import itertools
+from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -205,29 +207,44 @@ def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
+def _rank(vecs):
+    """Rank of a list of integer vectors, by exact Gaussian elimination."""
+    rows = [list(map(Fraction, v)) for v in vecs]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] / rows[rank][col]
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
 @st.composite
-def split_vectors(draw):
+def vector_lists(draw):
     dim = draw(st.sampled_from([2, 3]))
     vecs = draw(st.lists(st.tuples(*[st.integers(-5, 5)] * dim), max_size=6))
-    strict = draw(st.lists(st.booleans(), min_size=len(vecs),
-                           max_size=len(vecs)))
-    return (dim, tuple(v for v, s in zip(vecs, strict) if s),
-            tuple(v for v, s in zip(vecs, strict) if not s))
+    return dim, tuple(vecs)
 
 
 @settings(max_examples=500, deadline=None)
-@given(split_vectors())
+@given(vector_lists())
 def test_grading_functional_certificate(case):
-    dim, strict, weak = case
-    lam, witness = grading_functional(strict, weak)
+    dim, vecs = case
+    lam, witness = grading_functional(vecs)
     if lam is not None:
-        assert witness is None and len(lam) == (dim if strict + weak else 0)
-        assert all(_dot(lam, v) >= 1 for v in strict)
-        assert all(_dot(lam, w) >= 0 for w in weak)
+        assert witness is None and len(lam) == (dim if vecs else 0)
+        assert all(_dot(lam, v) >= 1 for v in vecs)
         return
-    assert len(witness) == len(strict + weak)
-    assert all(c >= 0 for c in witness) and any(witness[:len(strict)])
-    assert all(_dot(witness, col) == 0 for col in zip(*(strict + weak)))
+    # a circuit: a nonnegative, primitive combination summing to zero
+    # whose support is minimally dependent
+    assert len(witness) == len(vecs)
+    assert all(c >= 0 for c in witness) and gcd(*witness) == 1
+    assert all(_dot(witness, col) == 0 for col in zip(*vecs))
+    support = [v for v, c in zip(vecs, witness) if c]
+    assert _rank(support) == len(support) - 1
     for cand in itertools.product(range(-3, 4), repeat=dim):
-        assert not (all(_dot(cand, v) >= 1 for v in strict)
-                    and all(_dot(cand, w) >= 0 for w in weak)), cand
+        assert not all(_dot(cand, v) >= 1 for v in vecs), cand

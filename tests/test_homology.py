@@ -455,6 +455,9 @@ def test_serialize_parse_round_trip():
     ("coeff=Q\nwindow=q:0..1,t:0..1\nq=1, t=0\n", 3),
     ("coeff=Q\nwindow=q:0..1,t:0..1\nq=1, t=0, rank=0, tor=3;2\n", 3),
     ("coeff=Q\nwindow=q:0..1,t:0..1\nbound=many\n", 3),
+    ("coeff=Q\nwindow=q:0..1,t:0..1\nq=1, t=0, rank=1, bogus=7\n", 3),
+    ("coeff=Q\nwindow=q:0..1,t:0..1\nq=1, t=0, rank=1\nq=1, t=0, rank=2\n",
+     4),
     ("coeff=F4\n", 1),
     ("coeff=Q\nwindow=q:0..1\n", 2),
     ("coeff=Q\nwindow=q:0..1,x:0..1\n", 2),

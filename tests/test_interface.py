@@ -170,6 +170,14 @@ def test_compare_composite_torsion():
     assert worse.mismatches == [(0, 0, (1, (2, 3)), (1, (3,)))]
 
 
+def test_compare_auto_shift_on_trivial_data():
+    # data whose every cell is trivial aligns like empty data, at shift 0
+    model = small_model()
+    assert compare(model, parse_table("t=0, dd=0, rank=0")).shift == 0
+    z3 = parse_table("t=0, dd=0, rank=0, tor=3")
+    assert compare(model, z3, torsion_primes={5}).shift == 0
+
+
 def test_compare_misaligned_lowest_t():
     model = small_model()
     ext = ExternalTable(ring=ZZ)

@@ -177,11 +177,14 @@ def test_expand_rejects_mixed_orientation():
 
 
 def test_expand_steep_factors():
-    # lam = (71, 1): weight 1 on q t^-70 and 0 on the lex-positive
-    # q^-1 t^71; q^a t^b with a = i - j, b = 71 j - 70 i gives j = b + 70 a
+    # lam = (141, 2) weighs both q t^-70 and q^-1 t^71 by 1; q^a t^b with
+    # a = i - j, b = 71 j - 70 i gives i = 71 a + b and j = b + 70 a
     rf = rf_factored(ONE, (1, (1, -70)), (1, (-1, 71)))
     assert expand(rf, SeriesWindow(0, 3, 0, 5)) \
         == {(q, t): 1 for q in range(6) for t in range(4)}
+    assert expand(rf, SeriesWindow(-12, 12, -60, 60)) \
+        == {(a, b): 1 for a in range(-60, 61) for b in range(-12, 13)
+            if b + 70 * a >= 0 and 71 * a + b >= 0}
 
 
 # ---------------------------------------------------------------------------
