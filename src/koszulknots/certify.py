@@ -15,7 +15,7 @@ from .homology import GradedBasis, IntegerMatrix, Window, d_matrix, \
     homology_at, homology_table, rank_exact, window_bases
 from .presentations import Presentation, apply_d, mu, \
     reduced_presentation, stable_presentation
-from .series import SeriesWindow, expand, one_plus, product, rf_factored
+from .series import SeriesWindow, expand, free_series
 
 
 @dataclass
@@ -199,12 +199,12 @@ def reduced_factorization_check(n: int, N: int,
         raise ValueError(f"need n > N, got n={n}, N={N}")
     report = CertificateReport(f"reduced:{n},{N}")
 
-    lhs = homology_table(reduced_presentation(n, N), QQ, window)
+    pres = reduced_presentation(n, N)
+    lhs = homology_table(pres, QQ, window)
     # graded dimensions of Z[xi_1..xi_{N-1}, x_{n-N+1}..x_{n-1}]
-    free = expand(rf_factored(
-        product(one_plus(2 * N + 2 * i, 2 * i + 1) for i in range(1, N)),
-        *((1, (2 * k + 2, 2 * k)) for k in range(n - N + 1, n))),
-        SeriesWindow(0, window.tmax, 0, window.qmax))
+    free = expand(free_series(pres.even_degrees[n - N:],
+                              pres.odd_degrees[:N - 1]),
+                  SeriesWindow(0, window.tmax, 0, window.qmax))
     rhs_table = homology_table(_relabeled_stable(n - N, N), QQ, window)
 
     rhs = {}

@@ -493,8 +493,12 @@ class HomologyTable:
                 elif line.startswith("bound="):
                     bound = int(line[len("bound="):])
                 else:
-                    fields = dict(kv.strip().split("=", 1)
-                                  for kv in line.split(","))
+                    fields = {}
+                    for kv in line.split(","):
+                        key, val = kv.strip().split("=", 1)
+                        if key in fields:
+                            raise ValueError(f"duplicate field {key!r}")
+                        fields[key] = val
                     unknown = set(fields) - {"q", "t", "rank", "tor"}
                     if unknown:
                         raise ValueError(f"unknown field(s) {sorted(unknown)}")

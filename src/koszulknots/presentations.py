@@ -161,7 +161,9 @@ def reduced_presentation(n: int, N: int) -> Presentation:
 
 
 _PROJECTOR_GENS = {
-    # shape -> (even syms, even degs, odd syms, homfly odd degs)
+    # shape -> (even syms, even degs, odd syms, homfly odd degs); x0 and xi0
+    # come first, and the reduced algebras drop them
+    "[1]": (("x0",), (Degree(2, 0),), ("xi0",), (Degree(0, 1, 2),)),
     "[12]": (("x0", "x1"), (Degree(2, 0), Degree(4, 2)),
              ("xi0", "xi1"), (Degree(0, 1, 2), Degree(2, 3, 2))),
     "[1,2]": (("x0", "a1"), (Degree(2, 0), Degree(-4, -2)),
@@ -187,8 +189,6 @@ _PROJECTOR_GENS = {
 
 def _projector_images(shape: str, N: int, xi0_variant: str):
     """d_N images per shape; index order follows _PROJECTOR_GENS."""
-    n = 3 if shape in ("[123]", "[1,2,3]", "[12,3]", "[13,2]") else 2
-
     def mono(coeff, **exps):
         syms = _PROJECTOR_GENS[shape][0]
         exp = tuple(exps.get(s, 0) for s in syms)
@@ -216,19 +216,12 @@ def _projector_images(shape: str, N: int, xi0_variant: str):
 
 
 _D0_DATA = {
-    # reduced algebras, regraded a = t^{-1}; shape -> gens and the one image
-    "[123]": (("x1", "x2"), (Degree(4, 2), Degree(6, 4)),
-              ("xi1", "xi2"), (Degree(2, 1), Degree(4, 3)),
-              "xi2", {"x1": 1}),
-    "[1,2,3]": (("a1", "a2"), (Degree(-4, -2), Degree(-6, -2)),
-                ("theta1", "theta2"), (Degree(-2, -1), Degree(-4, -1)),
-                "theta2", {"a1": 1}),
-    "[12,3]": (("x1", "b2"), (Degree(4, 2), Degree(-6, -4)),
-               ("xi1", "theta1"), (Degree(2, 1), Degree(-2, -1)),
-               "theta1", {"x1": 1, "b2": 1}),
-    "[13,2]": (("a1", "x2"), (Degree(-4, -2), Degree(6, 2)),
-               ("theta1", "xi2"), (Degree(-2, -1), Degree(2, 1)),
-               "xi2", {"a1": 1, "x2": 1}),
+    # three-box shapes -> the odd generator d_0 does not kill, and the
+    # exponents of its image; the d_0 algebra is the reduced one
+    "[123]": ("xi2", {"x1": 1}),
+    "[1,2,3]": ("theta2", {"a1": 1}),
+    "[12,3]": ("theta1", {"x1": 1, "b2": 1}),
+    "[13,2]": ("xi2", {"a1": 1, "x2": 1}),
 }
 
 
@@ -254,11 +247,14 @@ def projector_presentation(shape: str, N, xi0_variant: str = "corrected"
         if shape not in _D0_DATA:
             raise ValueError(f"d_0 is only defined for three-box shapes, "
                              f"not {shape}")
-        ev_s, ev_d, od_s, od_d, target, img_exps = _D0_DATA[shape]
+        ev_s, ev_d, od_s, od_d = (g[1:] for g in _PROJECTOR_GENS[shape])
+        target, img_exps = _D0_DATA[shape]
         exp = tuple(img_exps.get(s, 0) for s in ev_s)
         images = [None] * len(od_s)
         images[od_s.index(target)] = SuperPolynomial.from_monomial(
             ZZ, Monomial(exp))
+        # regraded a = t^{-1}, as d_N regrades a = q^N
+        od_d = [Degree(d.q, d.t - d.a) for d in od_d]
         return Presentation(f"projector({shape},d0,reduced)", ev_s, ev_d,
                             od_s, od_d, images)
 

@@ -4,8 +4,10 @@ Rational functions are plain numerator/denominator pairs over Laurent
 polynomials with integer coefficients; equality is decided by
 cross-multiplication.  The catalogue collects every closed-form Poincare
 series used by the package, plus the torus-knot assemblies built from
-projector series.  A factored expansion walks its factors as homology's
-enumerator walks generators, pruned by algebra.exponent_rows.
+projector series, whose HOMFLY and d0 forms and denominators follow from
+the projector generator table of presentations.  A factored expansion
+walks its factors as homology's enumerator walks generators, pruned by
+algebra.exponent_rows.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from math import comb
 
 from .algebra import exponent_range, exponent_rows, grading_functional
+from .presentations import _D0_DATA, _PROJECTOR_GENS
 
 
 class ExpansionError(ValueError):
@@ -154,7 +156,7 @@ def one_plus(q: int, t: int = 0, a: int = 0) -> LaurentPoly:
 def product(factors) -> LaurentPoly:
     out = ONE
     for f in factors:
-        out = out * f
+        out = f if out is ONE else out * f
     return out
 
 
@@ -471,6 +473,8 @@ def stable_series_reduced(n: int, N: int) -> RationalFunction:
     def out(num):
         return rf_factored(num, *[(1, (2 * k + 2, 2 * k))
                                   for k in range(1, n)])
+    if n == 1:
+        return out(ONE)
     if n == 2:
         return out(one_plus(2 * N + 2, 3))
     if n == 3:
@@ -499,10 +503,34 @@ def mod_N_series(n: int, N: int) -> RationalFunction:
     return rf_factored(num, *factors)
 
 
+def free_series(evens, odds, num: LaurentPoly = ONE) -> RationalFunction:
+    """num times the Poincare series of the free super-commutative algebra
+    on even and odd generators of the given degrees (Degree records)."""
+    odd_factors = [one_plus(d.q, d.t, d.a) for d in odds]
+    return rf_factored(product([num] + odd_factors),
+                       *((1, (d.q, d.t, d.a)) for d in evens))
+
+
 def _hook_numerator_dN(N: int) -> LaurentPoly:
     return one_plus(2 * N, 1) * (
         ONE - qta(2 * N - 2) - qta(2 * N + 2, 2) + qta(2 * N + 4, 2)
         + qta(2 * N + 4, 3) - qta(4 * N, 3))
+
+
+_DN_NUMERATORS = {
+    # shape -> d_N numerators (unreduced, reduced) as the paper states them
+    "[1,2]": (lambda N: one_minus(2 * N - 2) * one_plus(2 * N, 1),
+              lambda N: one_plus(2 * N - 2, 1)),
+    "[1,2,3]": (lambda N: one_minus(2 * N - 4) * one_plus(2 * N - 2, 1)
+                * one_plus(2 * N, 1),
+                lambda N: one_plus(2 * N - 2, 1) * one_plus(2 * N, 1)),
+    "[12,3]": (_hook_numerator_dN,
+               lambda N: one_minus(2) * one_plus(6, 3) if N == 2
+               else one_plus(2 * N - 2, 1) * one_plus(2 * N + 2, 3)),
+    "[13,2]": (_hook_numerator_dN,
+               lambda N: one_plus(2, 1) if N == 2
+               else one_plus(2 * N - 2, 1) * one_plus(2 * N + 2, 3)),
+}
 
 
 def projector_series(shape: str, N=None, variant: str = "dN",
@@ -510,119 +538,47 @@ def projector_series(shape: str, N=None, variant: str = "dN",
     """Poincare series of a projector algebra.
 
     shape is one of [1], [12], [1,2], [123], [1,2,3], [12,3], [13,2];
-    variant is "homfly", "dN" (requires N >= 2) or "d0" (reduced only,
-    a-grading kept symbolic).
+    variant is "homfly", "dN" (requires N >= 2) or "d0" (reduced
+    three-box shapes only, a-grading kept symbolic).  Every denominator
+    and the HOMFLY and d0 series come from the generator table of
+    presentations.projector_presentation; reduced drops x0 and xi0.
     """
-    A2 = lambda q, t: one_plus(q, t, 2)
     if variant == "dN" and (not isinstance(N, int) or N < 2):
         raise ValueError(f"variant 'dN' needs an integer N >= 2, got {N!r}")
-
-    if shape == "[1]":
-        if variant == "homfly":
-            if reduced:
-                return rf_factored(ONE)
-            return rf_factored(A2(0, 1), (1, (2, 0)))
-        if variant == "dN":
-            if reduced:
-                return rf_factored(ONE)
-            return rf_factored(one_minus(2 * N), (1, (2, 0)))
-        raise ValueError("no d0 series for shape [1]")
-
-    if shape == "[12]":
-        if variant == "homfly":
-            if reduced:
-                return rf_factored(A2(2, 3), (1, (4, 2)))
-            return rf_factored(A2(0, 1) * A2(2, 3), (1, (2, 0)), (1, (4, 2)))
-        if variant == "dN":
-            if reduced:
-                return rf_factored(one_plus(2 * N + 2, 3), (1, (4, 2)))
-            return stable_series(2, N)
-    elif shape == "[1,2]":
-        if variant == "homfly":
-            if reduced:
-                return rf_factored(A2(-2, 1), (1, (-4, -2)))
-            return rf_factored(A2(0, 1) * A2(-2, 1),
-                               (1, (2, 0)), (1, (-4, -2)))
-        if variant == "dN":
-            if reduced:
-                return rf_factored(one_plus(2 * N - 2, 1), (1, (-4, -2)))
-            return rf_factored(one_minus(2 * N - 2) * one_plus(2 * N, 1),
-                               (1, (2, 0)), (1, (-4, -2)))
-    elif shape == "[123]":
-        if variant == "homfly":
-            num = A2(2, 3) * A2(4, 5)
-            if reduced:
-                return rf_factored(num, (1, (4, 2)), (1, (6, 4)))
-            return rf_factored(A2(0, 1) * num,
-                               (1, (2, 0)), (1, (4, 2)), (1, (6, 4)))
-        if variant == "dN":
-            if not reduced:
-                return stable_series(3, N)
-            return stable_series_reduced(3, N)
-        if variant == "d0":
-            return rf_factored(A2(2, 3), (1, (6, 4)))
-    elif shape == "[1,2,3]":
-        if variant == "homfly":
-            num = A2(-2, 1) * A2(-4, 1)
-            if reduced:
-                return rf_factored(num, (1, (-4, -2)), (1, (-6, -2)))
-            return rf_factored(A2(0, 1) * num,
-                               (1, (2, 0)), (1, (-4, -2)), (1, (-6, -2)))
-        if variant == "dN":
-            if reduced:
-                return rf_factored(
-                    one_plus(2 * N - 2, 1) * one_plus(2 * N, 1),
-                    (1, (-4, -2)), (1, (-6, -2)))
-            return rf_factored(
-                one_minus(2 * N - 4) * one_plus(2 * N - 2, 1)
-                * one_plus(2 * N, 1),
-                (1, (2, 0)), (1, (-4, -2)), (1, (-6, -2)))
-        if variant == "d0":
-            return rf_factored(A2(-2, 1), (1, (-6, -2)))
-    elif shape == "[12,3]":
-        if variant == "homfly":
-            num = A2(-2, 1) * A2(2, 3)
-            if reduced:
-                return rf_factored(num, (1, (4, 2)), (1, (-6, -4)))
-            return rf_factored(A2(0, 1) * num,
-                               (1, (2, 0)), (1, (4, 2)), (1, (-6, -4)))
-        if variant == "dN":
-            if reduced:
-                if N == 2:
-                    return rf_factored(one_minus(2) * one_plus(6, 3),
-                                       (1, (4, 2)), (1, (-6, -4)))
-                return rf_factored(
-                    one_plus(2 * N - 2, 1) * one_plus(2 * N + 2, 3),
-                    (1, (4, 2)), (1, (-6, -4)))
-            return rf_factored(_hook_numerator_dN(N),
-                               (1, (2, 0)), (1, (4, 2)), (1, (-6, -4)))
-        if variant == "d0":
-            return rf_factored(one_minus(-2, -2) * A2(2, 3),
-                               (1, (4, 2)), (1, (-6, -4)))
-    elif shape == "[13,2]":
-        if variant == "homfly":
-            num = A2(-2, 1) * A2(2, 3)
-            if reduced:
-                return rf_factored(num, (1, (-4, -2)), (1, (6, 2)))
-            return rf_factored(A2(0, 1) * num,
-                               (1, (2, 0)), (1, (-4, -2)), (1, (6, 2)))
-        if variant == "dN":
-            if reduced:
-                if N == 2:
-                    return rf_factored(one_plus(2, 1), (1, (-4, -2)))
-                return rf_factored(
-                    one_plus(2 * N - 2, 1) * one_plus(2 * N + 2, 3),
-                    (1, (-4, -2)), (1, (6, 2)))
-            return rf_factored(_hook_numerator_dN(N),
-                               (1, (2, 0)), (1, (-4, -2)), (1, (6, 2)))
-        if variant == "d0":
-            return rf_factored(one_minus(2) * A2(-2, 1),
-                               (1, (-4, -2)), (1, (6, 2)))
-    else:
+    if shape not in _PROJECTOR_GENS:
         raise ValueError(f"unknown tableau shape {shape!r}")
-    if variant == "d0":
+    even_syms, evens, odd_syms, odds = _PROJECTOR_GENS[shape]
+    boxes = len(evens)
+    if reduced:
+        even_syms, evens, odd_syms, odds = (
+            even_syms[1:], evens[1:], odd_syms[1:], odds[1:])
+    if variant == "homfly":
+        return free_series(evens, odds)
+    if variant == "dN":
+        if shape not in _DN_NUMERATORS:  # one column: the stable model
+            if reduced:
+                return stable_series_reduced(boxes, N)
+            return stable_series(boxes, N)
+        if reduced and N == 2 and shape == "[13,2]":
+            evens = evens[:1]  # d(xi2) = x2 cancels the pair
+        return free_series(evens, (), _DN_NUMERATORS[shape][reduced](N))
+    if variant != "d0":
+        raise ValueError(f"unknown variant {variant!r}")
+    if shape not in _D0_DATA:
         raise ValueError(f"no d0 series for shape {shape}")
-    raise ValueError(f"unknown variant {variant!r}")
+    if not reduced:
+        raise ValueError("the d0 decomposition exists for reduced homology "
+                         "only")
+    # d0(target) = f, a monomial in the evens and a nonzerodivisor, so the
+    # homology is k[evens]/(f) times the exterior algebra on the other odds
+    target, f = _D0_DATA[shape]
+    odds = [d for s, d in zip(odd_syms, odds) if s != target]
+    if sum(f.values()) == 1:  # f is a generator: drop it with target
+        return free_series(
+            [d for s, d in zip(even_syms, evens) if s not in f], odds)
+    f_gens = [(f[s], d) for s, d in zip(even_syms, evens) if s in f]
+    return free_series(evens, odds, one_minus(sum(k * d.q for k, d in f_gens),
+                                              sum(k * d.t for k, d in f_gens)))
 
 
 # name-keyed catalogue for the CLI and tests ---------------------------------
@@ -646,7 +602,7 @@ def _build_catalogue():
     for shape, tag in _SHAPE_TAGS.items():
         for variant in ("homfly", "dN", "d0"):
             for reduced in (False, True):
-                if variant == "d0" and (not reduced or "3" not in shape):
+                if variant == "d0" and (not reduced or shape not in _D0_DATA):
                     continue
                 name = f"P_{tag}" + ("_red" if reduced else "") + f"_{variant}"
                 params = ("N",) if variant == "dN" else ()
@@ -705,10 +661,7 @@ class Assembly:
 
 def _projector_for_assembly(shape, N, reduced):
     if N == 0:
-        if not reduced:
-            raise ValueError("the d0 decomposition exists for reduced "
-                             "homology only")
-        return projector_series(shape, None, "d0", True).substitute_a(
+        return projector_series(shape, None, "d0", reduced).substitute_a(
             t_per_a=-1)
     if N == "homfly":
         return projector_series(shape, None, "homfly", reduced)

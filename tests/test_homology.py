@@ -456,6 +456,7 @@ def test_serialize_parse_round_trip():
     ("coeff=Q\nwindow=q:0..1,t:0..1\nq=1, t=0, rank=0, tor=3;2\n", 3),
     ("coeff=Q\nwindow=q:0..1,t:0..1\nbound=many\n", 3),
     ("coeff=Q\nwindow=q:0..1,t:0..1\nq=1, t=0, rank=1, bogus=7\n", 3),
+    ("coeff=Q\nwindow=q:0..1,t:0..1\nq=1, q=0, t=0, rank=1, rank=5\n", 3),
     ("coeff=Q\nwindow=q:0..1,t:0..1\nq=1, t=0, rank=1\nq=1, t=0, rank=2\n",
      4),
     ("coeff=F4\n", 1),

@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from koszulknots.algebra import Degree, QQ, ZZ, prime_field
 from koszulknots.homology import Window, homology_table
-from koszulknots.presentations import (reduced_presentation,
+from koszulknots.presentations import (projector_presentation,
+                                       reduced_presentation,
                                        stable_presentation)
 from koszulknots.series import (Assembly, ExpansionError, LaurentPoly, ONE,
                                 RationalFunction, SeriesWindow, _finish,
@@ -492,3 +493,86 @@ def test_reduced_dN_column_identity_top_row():
             + projector_series("[12,3]", N, "dN", reduced=True)
         rhs = projector_series("[12]", N, "dN", reduced=True)
         assert identity_check(lhs, rhs)
+
+
+def test_projector_series_rejects_unreduced_d0():
+    # d0 is defined on the reduced algebras only
+    for shape in ("[123]", "[1,2,3]", "[12,3]", "[13,2]"):
+        with pytest.raises(ValueError, match="reduced homology only"):
+            projector_series(shape, None, "d0", reduced=False)
+
+
+def test_projector_series_names_unknown_variant():
+    for shape in ("[1]", "[12]", "[123]"):
+        with pytest.raises(ValueError, match="unknown variant 'bogus'"):
+            projector_series(shape, 3, "bogus")
+    with pytest.raises(ValueError, match="no d0 series for shape \\[1\\]"):
+        projector_series("[1]", None, "d0", reduced=True)
+
+
+@pytest.mark.parametrize("shape,cells", [
+    ("[123]", 6), ("[1,2,3]", 11), ("[12,3]", 15), ("[13,2]", 21)])
+def test_d0_series_matches_homology(shape, cells):
+    # d0 sends one odd generator to a monomial f in the evens, a
+    # nonzerodivisor: the homology is k[evens]/(f) times an exterior algebra
+    pres = projector_presentation(shape, 0)
+    table = homology_table(pres, QQ, Window(-40, 40, -10, 10))
+    rf = projector_series(shape, None, "d0", True).substitute_a(t_per_a=-1)
+    coeffs = expand(rf, SeriesWindow(-10, 10, -40, 40))
+    model = {(d.q, d.t): g.free_rank for d, g in table.groups.items()
+             if g.free_rank}
+    assert model == {k: v for k, v in coeffs.items() if v}
+    assert len(model) == cells
+
+
+# ---------------------------------------------------------------------------
+# Heegaard-Floer oracle: torus knots are L-space knots, so their knot Floer
+# homology is the staircase of the Alexander polynomial (Ozsvath-Szabo, "On
+# knot Floer homology and lens space surgeries", Topology 44 (2005))
+
+def _alexander_torus3(m):
+    """Coefficients, lowest degree first, of
+    (t^{3m} - 1)(t - 1) / ((t^3 - 1)(t^m - 1)), by long division."""
+    def binomial(n):  # t^n - 1
+        return [-1] + [0] * (n - 1) + [1]
+
+    def mul(f, g):
+        out = [0] * (len(f) + len(g) - 1)
+        for i, a in enumerate(f):
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+        return out
+
+    num, den = mul(binomial(3 * m), binomial(1)), mul(binomial(3), binomial(m))
+    quo = [0] * (len(num) - len(den) + 1)
+    for i in reversed(range(len(quo))):
+        quo[i] = num[i + len(den) - 1]  # den is monic
+        for j, d in enumerate(den):
+            num[i + j] -= quo[i] * d
+    assert not any(num)
+    return quo
+
+
+def _staircase(alexander):
+    """Sum of q^{2(n_k - n_min)} t^{M_k - M_min} over the exponents
+    n_0 > n_1 > ... of the Alexander polynomial, with M_0 = 0 and
+    M_k = M_{k-1} - 2(n_{k-1} - n_k) + 1 at odd k, M_{k-1} - 1 at even k."""
+    ns = [n for n in reversed(range(len(alexander))) if alexander[n]]
+    ms = [0]
+    for k in range(1, len(ns)):
+        step = 2 * (ns[k - 1] - ns[k]) - 1 if k % 2 else 1
+        ms.append(ms[-1] - step)
+    return LaurentPoly({(2 * (n - ns[-1]), M - min(ms), 0): 1
+                        for n, M in zip(ns, ms)})
+
+
+def test_alexander_torus3_trefoil():
+    assert _alexander_torus3(2) == [1, -1, 1]
+
+
+def test_torus3_d0_is_the_hf_staircase():
+    ms = [m for m in range(1, 80) if m % 3]
+    assert len(ms) == 53
+    for m in ms:
+        poly = assemble_torus3(m, 0, reduced=True).polynomial
+        assert poly == _staircase(_alexander_torus3(m)), m
