@@ -274,19 +274,18 @@ def generator_saturation_check(n: int, N: int,
         if h_rank == 0:
             continue
         basis = bases[deg]
-        m = len(basis.monomials)
         above = deg + T_STEP
         m_in = d_matrix(pres, above, src=bases.get(above)
                         or GradedBasis(above, []), dst=basis)
-        index = {mono: i for i, mono in enumerate(basis.monomials)}
+        index = {pair: i for i, pair in enumerate(basis.exps)}
         cand = products.get(deg, [])
         # rank of [image | candidates] minus rank of image = span in homology
         cols = dict(m_in.entries)
         c0 = m_in.cols
         for j, poly in enumerate(cand):
             for mono, v in poly.terms.items():
-                cols[(index[mono], c0 + j)] = v
-        big = IntegerMatrix(m, c0 + len(cand), cols)
+                cols[(index[mono.even, mono.odd], c0 + j)] = v
+        big = IntegerMatrix(len(basis.exps), c0 + len(cand), cols)
         span = rank_exact(big) - rank_exact(m_in)
         if span < h_rank:
             mismatches.append((deg, span, h_rank))

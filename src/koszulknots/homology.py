@@ -6,8 +6,9 @@ window_bases on a whole window.  Its walk is bounded by an integer
 functional positive on every even generator degree, from the exact
 decision algebra.grading_functional; when no such functional exists the
 graded pieces are infinite, and the error names the exact witness, a
-product of even generators of degree zero.  Matrices of the differential
-are exact integer matrices, assembled by d_matrix from images compiled into
+product of even generators of degree zero.  The walk yields (even, odd)
+exponent pairs, and GradedBasis builds Monomials only when read; d_matrix
+assembles exact integer matrices on the pairs from images compiled into
 exponent tuples; apply_d is the term-by-term reference the tests check it
 against.  Exact ranks and torsion come from one elimination kernel that
 removes unit pivots, with the general Smith loop on what remains.
@@ -53,8 +54,14 @@ class Window:
 
 @dataclass
 class GradedBasis:
+    """Sorted (even, odd) exponent pairs at one degree; monomials wraps them."""
+
     degree: Degree
-    monomials: list
+    exps: list
+
+    @property
+    def monomials(self) -> list:
+        return [Monomial(e, o) for e, o in self.exps]
 
 
 @dataclass
@@ -97,8 +104,9 @@ class HomologyGroup:
 def _search(pres: Presentation, corners, bound: int | None) -> dict:
     """Monomials whose (q, t) lies in the box spanned by the corners.
 
-    Returns (q, t, a) -> list of monomials, unsorted.  The walk is finite
-    because of two budgets, each a weight per even generator and an
+    Returns (q, t, a) -> list of (even, odd) exponent pairs, unsorted, each
+    a valid Monomial (exponents >= 0, odd indices increasing).  The walk is
+    finite because of two budgets, each a weight per even generator and an
     amount left: the functional lam of grading_functional on the even
     degrees (weights lam . deg_k >= 1, amount max lam . corner minus the
     odd part, so every monomial of a corner's degree is reached) and the
@@ -135,7 +143,7 @@ def _search(pres: Presentation, corners, bound: int | None) -> dict:
         for e in range(lo, hi + 1):
             at = (q + e * dq, t + e * dt, a + e * da)
             if i == n - 1:
-                found_at.setdefault(at, []).append(Monomial(exps + (e,), odd))
+                found_at.setdefault(at, []).append((exps + (e,), odd))
             else:
                 dfs(i + 1, at, exps + (e,),
                     [b - e * ws[i] for b, (ws, _rows) in zip(budgets, table)],
@@ -157,47 +165,41 @@ def _search(pres: Presentation, corners, bound: int | None) -> dict:
             if n:
                 dfs(0, (q, t, a), (), budgets, S)
             elif all(min(x) <= y <= max(x) for x, y in zip(zip(*box), (q, t))):
-                found_at.setdefault((q, t, a), []).append(Monomial((), S))
+                found_at.setdefault((q, t, a), []).append(((), S))
     return found_at
-
-
-def _sorted(monos):
-    return sorted(monos, key=lambda m: (m.even, m.odd))
 
 
 def basis_at(pres: Presentation, deg: Degree, bound: int | None = None
              ) -> GradedBasis:
-    """All monomials of exactly the given degree, canonically ordered.
+    """All monomials of exactly the given degree, as sorted exponent pairs.
 
     One call of the shared enumerator on the one-degree box, with the
     lam-budget lam . deg (the a-degree included); the monomials of other
     a-degrees it meets are dropped.  Without a bound the presentation must
-    be properly graded: grading_functional decides exactly whether an
-    integer functional is positive on every even generator degree, and
-    when none is, the NonProperGradingError names its exact witness, a
-    product of even generators of degree zero such as x^9*y.
+    be properly graded, or NonProperGradingError names a witness (x^9*y).
     """
     found = _search(pres, [deg], bound).get((deg.q, deg.t, deg.a), [])
-    return GradedBasis(deg, _sorted(found))
+    return GradedBasis(deg, sorted(found))
 
 
 def window_bases(pres: Presentation, window: Window,
                  bound: int | None = None) -> dict:
     """Bases for every degree in the window by one enumeration.
 
-    Returns Degree -> sorted monomial list for the nonempty degrees of the
-    window extended by one t-step on both sides (the extra rows back the
-    boundary matrices).  It is the enumerator of basis_at run once on the
-    whole box, so a window costs one pruned walk instead of one per degree.
-    Each degree returned equals basis_at's, and the a = 0 slice is whole.
-    A degree at a != 0 is returned only if lam . deg is within the walk's
-    lam-budget; the rest may be infinitely many (x z has degree (0, 0, 1)
-    for even degrees (1, 0, 1) and (-1, 0, 0)), so ask basis_at for them.
+    Returns Degree -> GradedBasis of the walk's exponent pairs for the
+    nonempty degrees of the window extended by one t-step on both sides
+    (the extra rows back the boundary matrices).  It is the enumerator of
+    basis_at run once on the whole box, so a window costs one pruned walk
+    instead of one per degree.  Each degree returned equals basis_at's, and
+    the a = 0 slice is whole.  A degree at a != 0 is returned only if
+    lam . deg is within the walk's lam-budget; the rest may be infinitely
+    many (x z has degree (0, 0, 1) for even degrees (1, 0, 1) and
+    (-1, 0, 0)), so ask basis_at for them.
     """
     corners = [Degree(q, t) for q in (window.qmin, window.qmax)
                for t in (window.tmin - 1, window.tmax + 1)]
-    return {Degree(*key): GradedBasis(Degree(*key), _sorted(monos))
-            for key, monos in _search(pres, corners, bound).items()}
+    return {Degree(*key): GradedBasis(Degree(*key), sorted(exps))
+            for key, exps in _search(pres, corners, bound).items()}
 
 
 def d_matrix(pres: Presentation, deg: Degree, bound: int | None = None,
@@ -210,8 +212,8 @@ def d_matrix(pres: Presentation, deg: Degree, bound: int | None = None,
     even, so d(x^e xi_S) is the sum over the l-th odd factor j of S of
     (-1)^l c x^(e+f) xi_(S-j), with c x^f running over the terms of
     d(xi_j).  The images are compiled once per call into (c, f) pairs and
-    the rows looked up by (even, odd) tuples.  apply_d computes the same
-    images through SuperPolynomial products; it is the tests' reference.
+    the rows looked up by the bases' exponent pairs.  apply_d computes the
+    same images through SuperPolynomial products, for the tests.
     """
     if src is None:
         src = basis_at(pres, deg, bound)
@@ -219,10 +221,9 @@ def d_matrix(pres: Presentation, deg: Degree, bound: int | None = None,
         dst = basis_at(pres, deg - T_STEP, bound)
     images = [[(c, m.even) for m, c in img.terms.items()] if img else []
               for img in pres.d_images]
-    index = {(m.even, m.odd): r for r, m in enumerate(dst.monomials)}
+    index = {pair: r for r, pair in enumerate(dst.exps)}
     entries = {}
-    for col, m in enumerate(src.monomials):
-        even, odd = m.even, m.odd
+    for col, (even, odd) in enumerate(src.exps):
         for l, j in enumerate(odd):
             rest = odd[:l] + odd[l + 1:]
             sign = -1 if l % 2 else 1
@@ -232,7 +233,7 @@ def d_matrix(pres: Presentation, deg: Degree, bound: int | None = None,
                 # or from an inhomogeneous image
                 if r is not None:
                     entries[(r, col)] = sign * c
-    return IntegerMatrix(len(dst.monomials), len(src.monomials), entries)
+    return IntegerMatrix(len(dst.exps), len(src.exps), entries)
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +577,7 @@ def homology_table(pres: Presentation, ring: CoefficientRing, window: Window,
 
     groups = {}
     for deg in window.degrees():
-        n = len(basis(deg).monomials)
+        n = len(basis(deg).exps)
         if n == 0:
             continue
         torsion = () if ring.is_field else \
@@ -626,8 +627,7 @@ def euler_characteristic_check(pres: Presentation, ring: CoefficientRing,
     table = homology_table(pres, ring, window)
     for t in range(window.tmin, window.tmax + 1):
         deg = Degree(q, t)
-        if deg in column:
-            chain += (-1) ** t * len(column[deg].monomials)
+        chain += (-1) ** t * len(column[deg].exps) if deg in column else 0
         hom += (-1) ** t * table.rank_at(deg)
     # boundary terms vanish when the window covers the whole q-column
     return chain == hom

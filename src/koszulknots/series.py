@@ -164,25 +164,27 @@ def product(factors) -> LaurentPoly:
 class RationalFunction:
     """num/den; den_factors, when known, lists den as prod of (1 - c*q^i t^j a^k).
 
-    Each factor is a pair (c, (i, j, k)).  Factor lists survive
-    multiplication and a-substitution; sums drop them (expansion of a sum
-    goes through its catalogued summands instead).  The torus-knot
-    assemblies sum their summands over the least common multiple of the
-    factor lists, not over the cross-multiplied denominator that + builds.
+    Each factor is a pair (c, (i, j, k)); den None is filled in as their
+    product.  Factor lists survive multiplication and a-substitution; sums
+    drop them (expansion of a sum goes through its catalogued summands
+    instead).  The torus-knot assemblies sum their summands over the least
+    common multiple of the factor lists, not over the cross-multiplied
+    denominator that + builds.
     """
 
     num: LaurentPoly
-    den: LaurentPoly
+    den: LaurentPoly | None
     den_factors: tuple | None = None
 
     def __post_init__(self):
+        check = None if self.den_factors is None else product(
+            ONE - qta(*m, coeff=c) for c, m in self.den_factors)
+        if self.den is None:
+            object.__setattr__(self, "den", check)
         if self.den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        if self.den_factors is not None:
-            check = product(ONE - qta(*m, coeff=c)
-                            for c, m in self.den_factors)
-            if check != self.den:
-                raise ValueError("den_factors do not multiply to den")
+        if check is not None and check is not self.den and check != self.den:
+            raise ValueError("den_factors do not multiply to den")
 
     @classmethod
     def of(cls, poly: LaurentPoly):
@@ -248,9 +250,8 @@ class RationalFunction:
 def rf_factored(num: LaurentPoly, *factors) -> RationalFunction:
     """Rational function with denominator prod over (c, (q, t[, a])) of
     (1 - c * q^. t^. a^.)."""
-    norm = tuple((c, (m + (0,) * (3 - len(m)))) for c, m in factors)
-    den = product(ONE - qta(*m, coeff=c) for c, m in norm)
-    return RationalFunction(num, den, norm)
+    return RationalFunction(num, None, tuple(
+        (c, (m + (0,) * (3 - len(m)))) for c, m in factors))
 
 
 def identity_check(lhs: RationalFunction, rhs: RationalFunction) -> bool:

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from koszulknots import homology
 from koszulknots.algebra import Degree, Monomial, QQ, SuperPolynomial, \
     T_STEP, ZZ, grading_functional, mono_degree, prime_field
 from koszulknots.homology import (HomologyGroup, HomologyTable,
@@ -243,6 +244,43 @@ def test_window_bases_match_brute_force(pres, window, bound):
     assert {d: b.monomials for d, b in got.items()} \
         == {d: sorted(ms, key=lambda m: (m.even, m.odd))
             for d, ms in want.items()}
+
+
+def test_hook_window_stays_in_exponent_pairs(monkeypatch):
+    """The hook_Q table (the benchmark's [12,3], N = 3 window) enumerates
+    and assembles on sorted exponent pairs and builds no Monomial."""
+    pres = projector_presentation("[12,3]", 3)
+    window = Window(-60, 60, -12, 12)
+    built, bases, nnz = [0], [], []
+    real_post_init = Monomial.__post_init__
+
+    def post_init(self):
+        built[0] += 1
+        real_post_init(self)
+
+    def bases_of(*args, **kw):
+        bases.append(window_bases(*args, **kw))
+        return bases[-1]
+
+    def matrix_of(*args, **kw):
+        mat = d_matrix(*args, **kw)
+        nnz.append(len(mat.entries))
+        return mat
+
+    monkeypatch.setattr(Monomial, "__post_init__", post_init)
+    monkeypatch.setattr(homology, "window_bases", bases_of)
+    monkeypatch.setattr(homology, "d_matrix", matrix_of)
+    homology_table(pres, QQ, window)
+    assert built == [0]
+    [found] = bases
+    assert sum(len(b.exps) for b in found.values()) == 45169
+    assert sum(nnz) == 80098
+    assert all(a < b for basis in found.values()
+               for a, b in zip(basis.exps, basis.exps[1:]))
+    # monomials wraps the same pairs in checked Monomials, in the same order
+    basis = found[Degree(0, 0)]
+    assert [(m.even, m.odd) for m in basis.monomials] == basis.exps
+    assert built == [len(basis.exps)]
 
 
 def test_non_proper_grading_detected():

@@ -14,9 +14,9 @@ from koszulknots.series import (Assembly, ExpansionError, LaurentPoly, ONE,
                                 assemble_torus2, assemble_torus3,
                                 exact_divide, expand, formula, identity_check,
                                 list_formulas, mod_N_series, normalize_lowest,
-                                one_minus, one_plus, projector_series, qta,
-                                rf_factored, stable_series,
-                                stable_series_reduced)
+                                one_minus, one_plus, product,
+                                projector_series, qta, rf_factored,
+                                stable_series, stable_series_reduced)
 
 
 # ---------------------------------------------------------------------------
@@ -77,8 +77,21 @@ def test_min_max_term_of_zero():
 # rational functions
 
 def test_factored_denominator_validated():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="do not multiply to den"):
         RationalFunction(ONE, one_minus(2), den_factors=((1, (4, 0, 0)),))
+    with pytest.raises(ValueError, match="do not multiply to den"):
+        RationalFunction(ONE, one_minus(2) * one_minus(4, 2),
+                         ((1, (2, 0, 0)), (-1, (4, 2, 0))))
+    with pytest.raises(ZeroDivisionError, match="zero denominator"):
+        rf_factored(ONE, (1, (2, 0)), (1, (0, 0)))
+    fs = ((1, (2, 0, 0)), (-1, (4, 2, 1)), (3, (0, 1, 0)))
+    num = one_plus(6, 3)
+    explicit = RationalFunction(
+        num, product(ONE - qta(*m, coeff=c) for c, m in fs), fs)
+    got = rf_factored(num, (1, (2, 0)), *fs[1:])
+    assert (got.num, got.den, got.den_factors) \
+        == (explicit.num, explicit.den, explicit.den_factors)
+    assert RationalFunction(num, None, fs) == explicit
 
 
 def test_rational_sum_and_equality():
