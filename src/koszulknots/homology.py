@@ -13,8 +13,9 @@ exponent tuples; apply_d is the term-by-term reference the tests check it
 against.  Exact ranks and torsion come from one elimination kernel that
 removes unit pivots, with the general Smith loop on what remains.
 homology_table is the one homology path: it enumerates its window once
-and computes each matrix, rank and Smith form once; homology_at is
-homology_table on a one-degree window.
+and computes each matrix, rank and Smith form once, on the complex's
+quotient by its regular sequence of unit powers of distinct variables;
+homology_at is homology_table on a one-degree window.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from dataclasses import dataclass, field
 from operator import add, mul
 
 from .algebra import (CoefficientRing, Degree, Monomial, T_STEP,
-                      exponent_range, exponent_rows, grading_functional)
+                      exponent_range, exponent_rows, grading_functional,
+                      mono_degree)
 from .presentations import Presentation
 
 
@@ -101,7 +103,26 @@ class HomologyGroup:
 # graded basis enumeration
 
 
-def _search(pres: Presentation, corners, bound: int | None) -> dict:
+def _unit_images(pres: Presentation) -> dict:
+    """j -> f for the odd generators j whose d(xi_j) is one term +-x_k^f[k]
+    of xi_j's own degree, taken greedily in generator order with k not
+    taken before: powers of distinct variables form a regular sequence.
+    f is all zeros for the image +-1."""
+    taken, used = {}, set()
+    for j, img in enumerate(pres.d_images):
+        if img and len(img.terms) == 1:
+            [(m, c)] = img.terms.items()
+            support = {k for k, e in enumerate(m.even) if e}
+            if (c in (1, -1) and len(support) <= 1 and
+                    used.isdisjoint(support) and
+                    mono_degree(m, pres) == pres.odd_degrees[j] - T_STEP):
+                taken[j] = m.even
+                used |= support
+    return taken
+
+
+def _search(pres: Presentation, corners, bound: int | None,
+            reduced: bool = False) -> dict:
     """Monomials whose (q, t) lies in the box spanned by the corners.
 
     Returns (q, t, a) -> list of (even, odd) exponent pairs, unsorted, each
@@ -112,6 +133,9 @@ def _search(pres: Presentation, corners, bound: int | None) -> dict:
     odd part, so every monomial of a corner's degree is reached) and the
     exponent bound (weights 1).  Under each, algebra.exponent_rows prunes
     every exponent to the values from which the box can still be reached.
+
+    reduced (without a bound) walks the quotient by _unit_images: it
+    skips their odd generators and caps exponent k below e for x_k^e.
     """
     ev = tuple((d.q, d.t, d.a) for d in pres.even_degrees)
     lam, witness = grading_functional(ev)
@@ -121,6 +145,11 @@ def _search(pres: Presentation, corners, bound: int | None) -> dict:
         raise NonProperGradingError(
             f"{pres.name} has infinite graded pieces "
             f"(degree-0 product witness: {product}); pass an exponent bound")
+    units = _unit_images(pres) if reduced and bound is None else {}
+    if not all(map(any, units.values())):
+        return {}  # an image is 1, and R/(1) = 0
+    caps = {f.index(sum(f)): sum(f) - 1 for f in units.values()}
+    free = [j for j in range(pres.n_odd) if j not in units]
     n = len(ev)
     weights = []
     if lam is not None:
@@ -135,7 +164,7 @@ def _search(pres: Presentation, corners, bound: int | None) -> dict:
 
     def dfs(i, pos, exps, budgets, odd):
         q, t, a = pos
-        lo, hi = 0, budgets[0]
+        lo, hi = 0, min(budgets[0], caps.get(i, budgets[0]))
         for b, (ws, rows) in zip(budgets, table):
             blo, bhi = exponent_range(rows[i], q, t, b, ws[i])
             lo, hi = max(lo, blo), min(hi, bhi)
@@ -149,8 +178,8 @@ def _search(pres: Presentation, corners, bound: int | None) -> dict:
                     [b - e * ws[i] for b, (ws, _rows) in zip(budgets, table)],
                     odd)
 
-    for size in range(pres.n_odd + 1):
-        for S in itertools.combinations(range(pres.n_odd), size):
+    for size in range(len(free) + 1):
+        for S in itertools.combinations(free, size):
             q = t = a = 0
             for j in S:
                 d = pres.odd_degrees[j]
@@ -183,7 +212,7 @@ def basis_at(pres: Presentation, deg: Degree, bound: int | None = None
 
 
 def window_bases(pres: Presentation, window: Window,
-                 bound: int | None = None) -> dict:
+                 bound: int | None = None, reduced: bool = False) -> dict:
     """Bases for every degree in the window by one enumeration.
 
     Returns Degree -> GradedBasis of the walk's exponent pairs for the
@@ -195,11 +224,14 @@ def window_bases(pres: Presentation, window: Window,
     lam . deg is within the walk's lam-budget; the rest may be infinitely
     many (x z has degree (0, 0, 1) for even degrees (1, 0, 1) and
     (-1, 0, 0)), so ask basis_at for them.
+
+    reduced (ignored with a bound) gives homology_table's quotient complex:
+    no xi_j of _unit_images and no multiple of its image x_k^e.
     """
     corners = [Degree(q, t) for q in (window.qmin, window.qmax)
                for t in (window.tmin - 1, window.tmax + 1)]
     return {Degree(*key): GradedBasis(Degree(*key), sorted(exps))
-            for key, exps in _search(pres, corners, bound).items()}
+            for key, exps in _search(pres, corners, bound, reduced).items()}
 
 
 def d_matrix(pres: Presentation, deg: Degree, bound: int | None = None,
@@ -229,8 +261,8 @@ def d_matrix(pres: Presentation, deg: Degree, bound: int | None = None,
             sign = -1 if l % 2 else 1
             for c, f in images[j]:
                 r = index.get((tuple(map(add, even, f)), rest))
-                # a missing row comes from truncation by an exponent bound
-                # or from an inhomogeneous image
+                # a missing row is reduced away by homology_table's quotient,
+                # past an exponent bound, or a term of an inhomogeneous image
                 if r is not None:
                     entries[(r, col)] = sign * c
     return IntegerMatrix(len(dst.exps), len(src.exps), entries)
@@ -532,10 +564,18 @@ def homology_table(pres: Presentation, ring: CoefficientRing, window: Window,
     lives one t lower; the kernel of the outgoing map is saturated, so
     Smith normal form decides it).
 
+    The complex is reduced first: the images that are powers +-x_k^e of
+    their own degree with distinct k (taken greedily in generator order)
+    form a regular sequence f_j over Z and every F_p, and for a
+    nonzerodivisor f, H(K(f, g_2, ...; R)) = H(K(g_2, ...; R/f))
+    (Eisenbud, Commutative Algebra, section 17).  So window_bases walks
+    R/(f_j) tensored with the exterior algebra on the other xi.
+
     An exponent bound truncates the complex to the monomials within it.
     That is the quotient by the monomials past the bound, a subcomplex
     because d never lowers the total exponent, unless some d(xi_j) has a
     constant term; such a presentation is rejected with a ValueError.
+    A bounded table is not reduced: truncation and quotient do not commute.
     """
     if bound is not None:
         for sym, img in zip(pres.odd_symbols, pres.d_images):
@@ -544,7 +584,7 @@ def homology_table(pres: Presentation, ring: CoefficientRing, window: Window,
                     f"{pres.name}: d({sym}) has a constant term, so the "
                     "matrices truncated by an exponent bound do not form a "
                     "complex; compute without a bound")
-    bases = window_bases(pres, window, bound)
+    bases = window_bases(pres, window, bound, reduced=True)
     matrices: dict = {}
     rank_cache: dict = {}
     factor_cache: dict = {}

@@ -21,6 +21,7 @@ from koszulknots.homology import (HomologyGroup, HomologyTable,
                                   stabilized_homology_table, window_bases)
 from koszulknots.presentations import (PROJECTOR_SHAPES, Presentation,
                                        apply_d, projector_presentation,
+                                       reduced_presentation,
                                        stable_presentation)
 
 
@@ -248,7 +249,9 @@ def test_window_bases_match_brute_force(pres, window, bound):
 
 def test_hook_window_stays_in_exponent_pairs(monkeypatch):
     """The hook_Q table (the benchmark's [12,3], N = 3 window) enumerates
-    and assembles on sorted exponent pairs and builds no Monomial."""
+    and assembles on sorted exponent pairs and builds no Monomial.  It
+    walks the quotient by d(xi0) = x0^3, so x0 stays below 3 and xi0 is
+    absent: 4,494 pairs where the whole complex has 45,169."""
     pres = projector_presentation("[12,3]", 3)
     window = Window(-60, 60, -12, 12)
     built, bases, nnz = [0], [], []
@@ -273,14 +276,19 @@ def test_hook_window_stays_in_exponent_pairs(monkeypatch):
     homology_table(pres, QQ, window)
     assert built == [0]
     [found] = bases
-    assert sum(len(b.exps) for b in found.values()) == 45169
-    assert sum(nnz) == 80098
+    assert sum(len(b.exps) for b in found.values()) == 4494
+    assert sum(nnz) == 2858
+    assert all(e[0] < 3 and 0 not in o
+               for b in found.values() for e, o in b.exps)
     assert all(a < b for basis in found.values()
                for a, b in zip(basis.exps, basis.exps[1:]))
     # monomials wraps the same pairs in checked Monomials, in the same order
     basis = found[Degree(0, 0)]
     assert [(m.even, m.odd) for m in basis.monomials] == basis.exps
     assert built == [len(basis.exps)]
+    # the public window_bases still returns the whole algebra's bases
+    whole = window_bases(pres, window)
+    assert sum(len(b.exps) for b in whole.values()) == 45169
 
 
 def test_non_proper_grading_detected():
@@ -461,6 +469,131 @@ def test_homology_at_matches_table():
                 == (g.free_rank, g.torsion), (pres.name, ring, deg)
         with pytest.raises(ValueError, match="a = 0"):
             homology_at(pres, Degree(0, 0, 1), ring, bound)
+
+
+F2, F3 = prime_field(2), prime_field(3)
+RINGS = (ZZ, QQ, F2, F3)
+
+
+def _full_complex_tables(pres, window):
+    """ring -> serialize() of the table of the whole Koszul complex, from
+    the public bases, d_matrix and Smith form or rank mod p: the reference
+    for homology_table, which computes on a quotient complex."""
+    bases = window_bases(pres, window)
+    basis = lambda deg: bases.get(deg) or homology.GradedBasis(deg, [])
+    mats = {}
+    for t in range(window.tmin, window.tmax + 2):
+        for q in range(window.qmin, window.qmax + 1):
+            deg = Degree(q, t)
+            mats[deg] = d_matrix(pres, deg, src=basis(deg),
+                                 dst=basis(deg - T_STEP))
+    factors = {deg: smith_normal_form(m)[0] for deg, m in mats.items()}
+    out = {}
+    for ring in RINGS:
+        rank = (lambda deg: len(factors[deg])) if ring.p is None else \
+            (lambda deg: rank_mod_p(mats[deg], ring.p))
+        groups = {}
+        for deg in window.degrees():
+            torsion = () if ring.is_field else \
+                tuple(f for f in factors[deg] if f > 1)
+            free = len(basis(deg).exps) - rank(deg) - rank(deg + T_STEP)
+            if free or torsion:
+                groups[deg] = HomologyGroup(free, torsion)
+        out[ring] = HomologyTable(pres.name, ring, window, groups).serialize()
+    return out
+
+
+def _shipped_quotient_cases():
+    small = Window(-12, 12, -4, 4)
+    for shape in PROJECTOR_SHAPES:
+        for N in (0, 2, 3, 4, 5):
+            if N or shape in ("[123]", "[1,2,3]", "[12,3]", "[13,2]"):
+                yield projector_presentation(shape, N), small
+    for n in range(1, 6):
+        for N in (2, 3, 4):
+            yield stable_presentation(n, N), Window(0, 24, 0, 8)
+            yield reduced_presentation(n, N), Window(0, 24, 0, 8)
+
+
+@pytest.mark.parametrize("pres,window", _shipped_quotient_cases(),
+                         ids=lambda v: getattr(v, "name", ""))
+def test_quotient_table_matches_full_complex(pres, window):
+    """homology_table walks the quotient by the regular unit-monomial
+    images; over every ring it must equal the whole complex's table."""
+    want = _full_complex_tables(pres, window)
+    for ring in RINGS:
+        assert homology_table(pres, ring, window).serialize() == want[ring]
+
+
+def _two_variables(name, images, odd_degrees):
+    """x, y of degrees (2, 0), (2, 2) and one odd generator per image."""
+    return Presentation(
+        name, ("x", "y"), (Degree(2, 0), Degree(2, 2)),
+        tuple(f"e{j}" for j in range(len(images))), odd_degrees,
+        [SuperPolynomial(ZZ, 2, {Monomial(f): c for f, c in img.items()})
+         for img in images])
+
+
+def _quotient_edge_cases():
+    # d(e0) = x^2 and d(e1) = x^3 share x, so only x^2 is divided out
+    yield _two_variables("shared", [{(2, 0): 1}, {(3, 0): 1}],
+                         (Degree(4, 1), Degree(6, 1))), [0]
+    yield _two_variables("minus", [{(0, 2): -1}, {(1, 0): 1}],
+                         (Degree(4, 5), Degree(2, 1))), [0, 1]
+    # 3 x^2 is not a unit over Z, so it stays, though it is over F2
+    yield _two_variables("nonunit", [{(2, 0): 3}, {(0, 1): 1}],
+                         (Degree(4, 1), Degree(2, 3))), [1]
+    # a mixed image x y stays in the complex
+    yield _two_variables("mixed", [{(1, 1): -1}],
+                         (Degree(4, 3),)), []
+    # d(e0) = x is a unit monomial of the wrong degree: not divided out
+    yield _two_variables("inhomogeneous", [{(1, 0): 1}, {(0, 2): 1}],
+                         (Degree(4, 1), Degree(4, 5))), [1]
+    # d(theta2) = 1: R/(1) = 0, every group vanishes
+    yield projector_presentation("[1,2,3]", 2), [0, 2]
+    yield Presentation("one", (), (), ("e",), (Degree(0, 1),),
+                       [SuperPolynomial.one(ZZ, 0)]), [0]
+    # the reduced d0 image x1 b2 has mixed support and stays
+    yield projector_presentation("[12,3]", 0), []
+    # the displayed xi0 image x0^(N-1) is a unit of the wrong degree
+    yield projector_presentation("[13,2]", 3, "displayed"), []
+
+
+def _exps(bases):
+    return {deg: b.exps for deg, b in bases.items()}
+
+
+@pytest.mark.parametrize("pres,taken", _quotient_edge_cases(),
+                         ids=lambda v: getattr(v, "name", ""))
+def test_quotient_edge_cases(pres, taken):
+    window = Window(-12, 12, -4, 4)
+    want = _full_complex_tables(pres, window)
+    assert list(homology._unit_images(pres)) == taken
+    for ring in RINGS:
+        assert homology_table(pres, ring, window).serialize() == want[ring]
+    reduced = window_bases(pres, window, reduced=True)
+    assert not any(set(odd) & set(taken)
+                   for b in reduced.values() for _even, odd in b.exps)
+    if not taken:
+        assert _exps(reduced) == _exps(window_bases(pres, window))
+    # with a bound the walk is not reduced
+    if not any(m.is_one() for img in pres.d_images if img
+               for m in img.terms):
+        assert _exps(window_bases(pres, window, 4, reduced=True)) == \
+            _exps(window_bases(pres, window, 4))
+    if pres.name in ("projector([1,2,3],d2)", "one"):
+        assert homology_table(pres, ZZ, window).groups == {}
+
+
+def test_quotient_keeps_the_non_proper_grading_witness():
+    """d(e) = u is a regular unit image, but u v has degree 0: the error
+    and its witness are those of the whole complex."""
+    pres = Presentation(
+        "degenerate-unit", ("u", "v"), (Degree(2, 0), Degree(-2, 0)),
+        ("e",), (Degree(2, 1),),
+        [SuperPolynomial.from_monomial(ZZ, Monomial((1, 0)))])
+    with pytest.raises(NonProperGradingError, match=r"witness: u\*v\)"):
+        homology_table(pres, QQ, Window(0, 0, 0, 0))
 
 
 def test_bounded_table_rejects_constant_differential_term():
