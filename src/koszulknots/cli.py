@@ -159,6 +159,9 @@ def _cmd_series(args) -> int:
             print(asm.polynomial)
         else:
             print("# polynomial: no")
+            if args.torus3 and args.reduced and args.N not in (0, "homfly"):
+                print("# the reduced (3, m) assembly is not a Poincare series "
+                      "here: its rebuilt summands hold only at t = -1")
             print(asm.rational)
         return 0
     if not args.formula:

@@ -5,13 +5,14 @@ polynomials with integer coefficients; equality is decided by
 cross-multiplication.  The catalogue collects every closed-form Poincare
 series used by the package, plus the torus-knot assemblies built from
 projector series, whose HOMFLY and d0 forms and denominators follow from
-the projector generator table of presentations.  A factored expansion
-walks its factors as homology's enumerator walks generators, pruned by
-algebra.exponent_rows.
+the projector generator table of presentations, and which exact division
+certifies binomial by binomial.  A factored expansion walks its factors
+as homology's enumerator walks generators, pruned by algebra.exponent_rows.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
@@ -278,9 +279,9 @@ def expand(rf: RationalFunction, window: SeriesWindow) -> dict:
     region where all catalogued generators are "small" and matches the
     graded dimensions of the corresponding algebras.  Otherwise the region
     is fixed by the (t, then q) monomial order: num is divided by den in
-    the one division loop that exact_divide also runs, _quotient_terms,
-    so den's least term must have coefficient +-1.  Returns a (q, t) -> int
-    map over the window (a-graded input is rejected).
+    _quotient_terms, the heap loop that exact_divide runs unless den is a
+    binomial, so den's least term must have coefficient +-1.  Returns a
+    (q, t) -> int map over the window (a-graded input is rejected).
     """
     if rf.den_factors is not None:
         return _expand_factored(rf, window)
@@ -348,7 +349,7 @@ def _expand_factored(rf: RationalFunction, window: SeriesWindow) -> dict:
 
 
 def _quotient_terms(num: LaurentPoly, den: LaurentPoly, skip=None):
-    """The one division loop of exact_divide and expand.
+    """The heap-ordered division loop of expand and exact_divide.
 
     Yields ((t, q, a), c): a quotient exponent, relative to den's least
     term m0 in the (t, q, a) order, and the remainder coefficient c there.
@@ -385,17 +386,50 @@ def _quotient_terms(num: LaurentPoly, den: LaurentPoly, skip=None):
                 rem[nxt] = v - coeff * cc
 
 
+def _divide_binomial(num: LaurentPoly, den: LaurentPoly):
+    """exact_divide for den = c0 x^m0 + c1 x^m1, m = m1 - m0 above 0.
+
+    den maps each line b + j m to itself: along it, num / x^m0 = P gives
+    Q_j = (P_j - c1 Q_{j-1}) / c0, walking j upwards.  The division is exact
+    iff every step divides and the line's last term leaves residue 0.
+    """
+    m0, c0 = den.min_term()
+    (m1, c1), = ((m, c) for m, c in den.terms.items() if m != m0)
+    s0, s1, s2 = step = (m1[0] - m0[0], m1[1] - m0[1], m1[2] - m0[2])
+    i = 0 if s0 else 1 if s1 else 2  # a coordinate that moves along a line
+    lines = {}
+    for e, c in num.terms.items():
+        j = (e[i] - m0[i]) // step[i]
+        lines.setdefault((e[0] - m0[0] - j * s0, e[1] - m0[1] - j * s1,
+                          e[2] - m0[2] - j * s2), {})[j] = c
+    quo = {}
+    for (b0, b1, b2), row in lines.items():
+        js = sorted(row)
+        j, last, prev = js[0], js[-1], 0
+        while j < last:
+            r = row.get(j, 0) - c1 * prev
+            if r % c0:
+                return None
+            prev = quo[(b0 + j * s0, b1 + j * s1, b2 + j * s2)] = r // c0
+            j = j + 1 if prev else js[bisect_right(js, j)]  # skip a zero run
+        if row[last] != c1 * prev:
+            return None
+    return LaurentPoly(quo)
+
+
 def exact_divide(num: LaurentPoly, den: LaurentPoly):
     """num/den as a LaurentPoly, or None when the division is not exact.
 
-    Runs the one division loop, _quotient_terms, which expand shares, and
-    stops at the first quotient term whose coefficient c0 does not divide
-    or whose exponent leaves the Newton-polytope box.
+    A two-term den takes _divide_binomial.  Any other den runs the heap loop
+    _quotient_terms, which expand shares, up to the first quotient term whose
+    coefficient c0 does not divide or whose exponent leaves the Newton box.
     """
     if den.is_zero():
         raise ZeroDivisionError("zero denominator")
     if num.is_zero():
         return LaurentPoly.zero()
+    if len(den.terms) == 2:
+        return _divide_binomial(num, den)
     c0 = den.min_term()[1]
     # Newton-polytope box: in an exact division every quotient exponent is
     # boxed coordinatewise by min(num) - max(den) and max(num) - min(den).
@@ -671,7 +705,8 @@ def _projector_for_assembly(shape, N, reduced):
 
 def _finish(parts, shift_q) -> Assembly:
     """Sum the (weight, factored summand) pairs over the least common
-    multiple of their factor lists and certify the sum by exact division.
+    multiple of their factor lists and certify the sum by exact division by
+    each lcm factor in turn, which is exact as Z[q+-, t+-, a+-] is a domain.
 
     A factor 1 - c x^m with m below 0 in the (t, q, a) order equals the
     unit -c x^m times 1 - c x^-m (c = +-1), so factors that agree up to a
@@ -695,9 +730,11 @@ def _finish(parts, shift_q) -> Assembly:
     total = LaurentPoly.zero()
     for num, factors in summands:
         total = total + num * binomials(lcm - factors)
-    den = binomials(lcm)
-    return Assembly(RationalFunction(total, den), shift_q,
-                    exact_divide(total, den))
+    quo = total
+    for c, m in lcm.elements():
+        if quo is not None:
+            quo = exact_divide(quo, ONE - qta(*m, coeff=c))
+    return Assembly(RationalFunction(total, binomials(lcm)), shift_q, quo)
 
 
 def _torus3_parts(m: int, N, reduced: bool):

@@ -4,8 +4,9 @@ import os
 
 import pytest
 
+from koszulknots import cli
 from koszulknots.cli import main
-from koszulknots.series import assemble_torus3
+from koszulknots.series import Assembly, assemble_torus3
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -128,6 +129,30 @@ def test_series_torus3_homfly_prints_reduced_rational(capsys):
     # the sum over the common factor list, with its lowest term 1
     assert lines[1] == str(assemble_torus3(4, "homfly").rational)
     assert lines[1].startswith("(1 + t^1a^2 ")
+
+
+def test_series_torus3_reduced_gap_is_noted(capsys, monkeypatch):
+    note = "# the reduced (3, m) assembly is not a Poincare series"
+    code, out, _err = run(capsys, "series", "--torus3", "4", "--N", "3",
+                          "--reduced")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[1] == "# polynomial: no" and lines[2].startswith(note)
+    assert lines[3] == str(assemble_torus3(4, 3, reduced=True).rational)
+    # a polynomial reduced assembly (N = 2, and the trefoil at N = 3) and a
+    # non-polynomial unreduced or HOMFLY one carry no note
+    for argv in (("4", "--N", "2", "--reduced"),
+                 ("2", "--N", "3", "--reduced"), ("4", "--N", "3"),
+                 ("4", "--N", "homfly", "--reduced"), ("4", "--N", "homfly")):
+        code, out, _err = run(capsys, "series", "--torus3", *argv)
+        assert code == 0 and note not in out
+    # the note follows is_polynomial, not the value of m
+    asm = assemble_torus3(2, 3, reduced=True)
+    monkeypatch.setattr(cli, "assemble_torus3", lambda *args: Assembly(
+        asm.rational, asm.shift_q, None))
+    code, out, _err = run(capsys, "series", "--torus3", "2", "--N", "3",
+                          "--reduced")
+    assert code == 0 and note in out
 
 
 def test_series_assembly_requires_N(capsys):

@@ -267,6 +267,47 @@ def _exact_divide_reference(num, den):
     return LaurentPoly(quo)
 
 
+def test_exact_divide_binomial_matches_reference():
+    # two-term dens c0 x^m0 + c1 x^m1, divided along the lines of m1 - m0
+    dens = [
+        qta(coeff=2) - qta(2, 1, coeff=3),  # 2 - 3 q^2 t: non-unit c0, c1
+        qta(0, 0, 1) - ONE,  # -1 + a: negative c0, pure-a m
+        ONE - qta(-2, 1),  # m = q^-2 t: negative q part
+        one_plus(0, 2),  # m = t^2
+        one_minus(3),  # m = q^3: first nonzero coordinate q
+        qta(5, -1, 2) * one_minus(1, 0, -1),  # m0 away from the origin
+    ]
+    quotients = [ONE, one_plus(1, 1, -1) * 3, qta(-3, 2, 1) - qta(4, -1),
+                 one_minus(0, 0, 2) * qta(7, 3) + one_plus(-1, 1)]
+    for den in dens:
+        m0 = den.min_term()[0]
+        m1, = (m for m in den.terms if m != m0)
+        y = lambda j: qta(*(j * (b - a) for a, b in zip(m0, m1)))
+        # 1 + y^40 leaves a run of zero quotient terms along its line
+        cases = [(p * den, p) for p in quotients + [ONE + y(40)]]
+        cases += [(num + qta(1, 1, 1), None) for num, _p in cases]
+        cases += [
+            (LaurentPoly.zero(), LaurentPoly.zero()),
+            # x^m0 t lies on no line of den here: a line holding one term
+            (den + qta(*m0) * qta(0, 1), None),
+            # the line's last term leaves a nonzero residue
+            (den * (ONE + y(1)) + qta(*m0) * y(2), None),
+        ]
+        for num, want in cases:
+            assert exact_divide(num, den) == want
+            assert _exact_divide_reference(num, den) == want
+    # a mid-line step that does not divide: (2 + 2y - 6y^2) / (2 - 3y)
+    # needs Q_1 = 5/2, and rounding it down to 2 would leave residue 0 at y^2
+    den, y = qta(coeff=2) - qta(2, 1, coeff=3), qta(2, 1)
+    num = qta(coeff=2) + y * 2 - y * y * 6
+    assert exact_divide(num, den) is None
+    assert _exact_divide_reference(num, den) is None
+    # a monomial den runs the heap loop
+    den = qta(2, 1, coeff=3)
+    assert exact_divide(one_plus(4, 1) * den, den) == one_plus(4, 1)
+    assert exact_divide(one_plus(4, 1) * den + ONE, den) is None
+
+
 def _cross_multiplied(parts):
     """An assembly's sum as + builds it: over the product of every
     summand's denominator."""
@@ -441,6 +482,27 @@ def test_assembly_matches_cross_multiplied_sum():
         assert asm.rational.equals(old)
         assert asm.rational.den_factors is None
         assert len(asm.rational.den.terms) <= 16
+
+
+def test_assembly_polynomial_status_on_the_grid():
+    # the grid of test_assembly_matches_cross_multiplied_sum; every assembly
+    # is a polynomial except the unreduced HOMFLY ones, which are
+    # infinite-dimensional, and reduced T(3, m) at N = 3, 4, 5 with m >= 4,
+    # the reduced (3, m) gap of ROADMAP item 10
+    t3 = [m for m in range(1, 41) if m % 3]
+    variants = [(N, reduced) for N in (2, 3, 4, 5, "homfly")
+                for reduced in (False, True)]
+    cases = [(3, m, N, reduced)
+             for N, reduced in variants + [(0, True)] for m in t3]
+    cases += [(2, m, N, reduced)
+              for N, reduced in variants for m in range(1, 82, 2)]
+    assemble = {3: assemble_torus3, 2: assemble_torus2}
+    not_polynomial = {(n, m, N, reduced) for n, m, N, reduced in cases
+                      if not assemble[n](m, N, reduced).is_polynomial}
+    homfly = {c for c in cases if c[2] == "homfly" and not c[3]}
+    gap = {(3, m, N, True) for N in (3, 4, 5) for m in t3 if m >= 4}
+    assert (len(cases), len(homfly), len(gap)) == (707, 68, 75)
+    assert not_polynomial == homfly | gap
 
 
 def test_assembly_expansion_matches_polynomial():
