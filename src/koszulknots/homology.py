@@ -10,11 +10,12 @@ product of even generators of degree zero.  The walk yields (even, odd)
 exponent pairs, and GradedBasis builds Monomials only when read; d_matrix
 assembles exact integer matrices on the pairs from images compiled into
 exponent tuples; apply_d is the term-by-term reference the tests check it
-against.  Exact ranks and torsion come from one elimination kernel that
-removes unit pivots, with the general Smith loop on what remains.
-homology_table is the one homology path: it enumerates its window once
-and computes each matrix, rank and Smith form once, on the complex's
-quotient by its regular sequence of unit powers of distinct variables;
+against.  One elimination kernel gives the ranks: it pivots on every
+nonzero entry over Q (fraction-free) and F_p, and on +-1 over Z, where
+the general Smith loop gives the torsion of what remains.  homology_table
+is the one homology path: one enumeration, one rank or Smith form per
+matrix, a loop over the nonempty degrees, all on the complex's quotient
+by its regular sequence of unit powers of distinct variables;
 homology_at is homology_table on a one-degree window.
 """
 
@@ -23,6 +24,8 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cache
+from math import gcd
 from operator import add, mul
 
 from .algebra import (CoefficientRing, Degree, Monomial, T_STEP,
@@ -273,19 +276,19 @@ def d_matrix(pres: Presentation, deg: Degree, bound: int | None = None,
 
 
 def _eliminate_units(mat: IntegerMatrix, p: int | None = None):
-    """Remove unit pivots by unimodular elimination.
+    """Remove unit pivots; p is None for Z, 0 for Q, or a prime for F_p.
 
-    Units are +-1 over Z and every nonzero entry over F_p (entries are
-    reduced mod p first; zero entries are dropped).  A unit's column is
-    cleared by row operations; its row is then cleared by column
-    operations that touch no other row, so the matrix is equivalent to
-    the unit plus the rest: the rank drops by one and the Smith form loses
-    a factor 1.  Each sweep visits, in order, the columns that gained a
-    unit since the last one, and takes the unit of the shortest row;
-    sweeps repeat until none is left.  Over F_p the first sweep empties
-    the matrix.  This is the elimination step of Dumas, Saunders and
-    Villard (J. Symbolic Comput. 32, 2001).  Returns the pivot count and
-    the remainder as row -> {col: value}.
+    Units are +-1 over Z and every nonzero entry over Q and F_p (entries
+    are reduced mod p; zeros are dropped).  A unit's column is cleared by
+    row operations and then its row by column operations that touch no
+    other row: the rank drops by one, and over Z the Smith form loses a
+    factor 1.  Over Q a row with f under the pivot u becomes (u/g) row -
+    (f/g) pivot row, g = gcd(u, f), divided by the gcd of its entries so
+    they stay small.  Each sweep visits, in order, the columns that gained
+    a unit since the last one and takes the unit of the shortest row,
+    until none is left; over Q and F_p one sweep empties the matrix.  The
+    elimination step of Dumas, Saunders and Villard (J. Symbolic Comput.
+    32, 2001).  Returns the pivot count and the remainder, row -> {col: v}.
     """
     rows = defaultdict(dict)
     # col -> rows that held it, in order; a row that left or whose entry
@@ -293,7 +296,7 @@ def _eliminate_units(mat: IntegerMatrix, p: int | None = None):
     cols = defaultdict(dict)
     fresh = set()
     for (r, c), v in mat.entries.items():
-        if p is not None:
+        if p:
             v %= p
         if v:
             rows[r][c] = v
@@ -320,16 +323,21 @@ def _eliminate_units(mat: IntegerMatrix, p: int | None = None):
             pivots += 1
             prow = rows.pop(top)
             unit = prow.pop(c)
-            inv = unit if p is None else pow(unit, -1, p)
+            inv = 1 if p == 0 else pow(unit, -1, p) if p else unit
             for r in live:
                 if r == top:
                     continue
                 row = rows[r]
                 f = row.pop(c) * inv
+                if p == 0:
+                    g = gcd(unit, f)
+                    f, scale = f // g, unit // g
+                    for cc in row:
+                        row[cc] *= scale
                 for cc, v in prow.items():
                     old = row.get(cc)
                     nv = (old or 0) - f * v
-                    if p is not None:
+                    if p:
                         nv %= p
                     if nv:
                         row[cc] = nv
@@ -339,6 +347,10 @@ def _eliminate_units(mat: IntegerMatrix, p: int | None = None):
                             fresh.add(cc)
                     else:
                         del row[cc]
+                if p == 0:
+                    g = gcd(*row.values())
+                    for cc in row:
+                        row[cc] //= g
     return pivots, {r: row for r, row in rows.items() if row}
 
 
@@ -429,10 +441,8 @@ def rank_mod_p(mat: IntegerMatrix, p: int) -> int:
 
 
 def rank_exact(mat: IntegerMatrix) -> int:
-    """Rank over Q (equivalently over Z): the unit pivots plus the
-    number of invariant factors of the remainder."""
-    pivots, rest = _eliminate_units(mat)
-    return pivots + len(_smith(rest)[0])
+    """Rank over Q (equivalently over Z): every nonzero entry is a pivot."""
+    return _eliminate_units(mat, 0)[0]
 
 
 def matrix_rank(mat: IntegerMatrix, ring: CoefficientRing) -> int:
@@ -585,44 +595,34 @@ def homology_table(pres: Presentation, ring: CoefficientRing, window: Window,
                     "matrices truncated by an exponent bound do not form a "
                     "complex; compute without a bound")
     bases = window_bases(pres, window, bound, reduced=True)
-    matrices: dict = {}
-    rank_cache: dict = {}
-    factor_cache: dict = {}
 
     def basis(deg):
         return bases.get(deg) or GradedBasis(deg, [])
 
     def matrix(deg):
-        if deg not in matrices:
-            matrices[deg] = d_matrix(pres, deg, bound, src=basis(deg),
-                                     dst=basis(deg - T_STEP))
-        return matrices[deg]
+        # not kept: each degree needs either a rank or a Smith form
+        return d_matrix(pres, deg, bound, src=basis(deg),
+                        dst=basis(deg - T_STEP))
 
+    @cache
     def factors(deg):
-        if deg not in factor_cache:
-            factor_cache[deg] = smith_normal_form(matrix(deg))[0]
-        return factor_cache[deg]
+        return smith_normal_form(matrix(deg))[0]
 
+    @cache
     def rk(deg):
-        if deg not in rank_cache:
-            if ring.is_field:
-                rank_cache[deg] = matrix_rank(matrix(deg), ring)
-            elif deg.t <= window.tmax:
-                # inside the window the Smith form also gives the torsion
-                # at deg; its factor count is the rank
-                rank_cache[deg] = len(factors(deg))
-            else:
-                rank_cache[deg] = rank_exact(matrix(deg))
-        return rank_cache[deg]
+        if ring.is_field or deg.t > window.tmax:
+            return matrix_rank(matrix(deg), ring)
+        # inside the window the Smith form also gives the torsion at deg;
+        # its factor count is the rank
+        return len(factors(deg))
 
     groups = {}
-    for deg in window.degrees():
-        n = len(basis(deg).exps)
-        if n == 0:
+    for deg, b in bases.items():
+        if deg.a or not window.contains(deg):
             continue
         torsion = () if ring.is_field else \
             tuple(f for f in factors(deg) if f > 1)
-        free = n - rk(deg) - rk(deg + T_STEP)
+        free = len(b.exps) - rk(deg) - rk(deg + T_STEP)
         if free or torsion:
             groups[deg] = HomologyGroup(free, torsion)
     return HomologyTable(pres.name, ring, window, groups, bound)

@@ -170,7 +170,8 @@ def test_series_requires_an_action(capsys):
 
 def test_certify_tp(capsys):
     code, out, _err = run(capsys, "certify", "--name", "tp:5,2")
-    assert code == 0 and "PASS" in out.upper() or code == 0
+    assert code == 0
+    assert "certificate tp:5,2: PASS" in out.splitlines()
 
 
 def test_certify_tp_skip_homology(capsys):

@@ -2,8 +2,10 @@
 
 import itertools
 import os
+import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -19,8 +21,9 @@ from koszulknots.homology import (HomologyGroup, HomologyTable,
                                   homology_at, homology_table, rank_exact,
                                   rank_mod_p, smith_normal_form,
                                   stabilized_homology_table, window_bases)
-from koszulknots.presentations import (PROJECTOR_SHAPES, Presentation,
-                                       apply_d, projector_presentation,
+from koszulknots.presentations import (HOMFLY, PROJECTOR_SHAPES,
+                                       Presentation, apply_d,
+                                       projector_presentation,
                                        reduced_presentation,
                                        stable_presentation)
 
@@ -55,15 +58,15 @@ def det(rows):
     return sign * a[n - 1][n - 1]
 
 
-def int_matrices(size):
+def int_matrices(size, values=st.one_of(st.sampled_from([-1, 0, 1]),
+                                        st.integers(-9, 9))):
     """Integer matrices up to size x size, entries biased toward 0 and +-1
-    (so unit pivots and stored zeros are common)."""
+    by default (so unit pivots and stored zeros are common)."""
     return st.builds(
         lambda rows, cols, vals: IntegerMatrix(rows, cols, dict(
             zip(itertools.product(range(rows), range(cols)), vals))),
         st.integers(1, size), st.integers(1, size),
-        st.lists(st.one_of(st.sampled_from([-1, 0, 1]), st.integers(-9, 9)),
-                 min_size=size * size, max_size=size * size),
+        st.lists(values, min_size=size * size, max_size=size * size),
     )
 
 
@@ -129,6 +132,56 @@ def test_ranks_match_dense_elimination(mat):
     assert rank_exact(mat) == dense_rank(mat)
     for p in (2, 3, 5):
         assert rank_mod_p(mat, p) == dense_rank(mat, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_matrices(12, st.sampled_from([0, 2, -2, 3, -3, 6, 9])))
+def test_rank_over_q_without_unit_entries(mat):
+    """No entry is a unit over Z, and every nonzero entry is a pivot over
+    Q: one fraction-free sweep empties the matrix."""
+    pivots, rest = homology._eliminate_units(mat, 0)
+    assert rest == {}
+    assert pivots == rank_exact(mat) == dense_rank(mat)
+
+
+def test_rank_over_q_never_runs_the_smith_loop(monkeypatch):
+    """rank_exact, and with it every table over Q, runs the elimination
+    kernel alone; the general Smith loop serves the Smith form over Z."""
+    def refuse(*args, **kw):
+        raise AssertionError("rank over Q entered _smith")
+
+    monkeypatch.setattr(homology, "_smith", refuse)
+    # a +-3 and 9 block like those the hook_Q matrices leave over Z
+    mat = IntegerMatrix(4, 2, {(0, 0): 3, (0, 1): -3, (1, 0): 9,
+                               (2, 1): 3, (3, 0): -3, (3, 1): 9})
+    assert rank_exact(mat) == 2
+    with pytest.raises(AssertionError, match="entered _smith"):
+        smith_normal_form(mat)
+    table = homology_table(projector_presentation("[12,3]", 3), QQ,
+                           Window(-20, 20, -6, 6))
+    assert table.groups
+
+
+def test_dense_rank_without_unit_entries_is_fast():
+    """A dense 60 x 60 matrix with no unit entry: 50 random rows from
+    {0, +-2, +-3, 6, 9} and 10 sums 2 (r_a + r_b), so its rank is 50.  Unit
+    elimination finds nothing to do on it, and the general Smith loop
+    takes over a minute; over Q every entry is a pivot, and the primitive
+    rows keep the fraction-free entries small."""
+    rng = random.Random(14)
+    rows = [[rng.choice([0, 2, -2, 3, -3, 6, 9]) for _ in range(60)]
+            for _ in range(50)]
+    for _ in range(10):
+        a, b = rng.sample(rows[:50], 2)
+        rows.append([2 * (x + y) for x, y in zip(a, b)])
+    rng.shuffle(rows)
+    mat = IntegerMatrix(60, 60, {(r, c): v for r, row in enumerate(rows)
+                                 for c, v in enumerate(row) if v})
+    start = time.perf_counter()
+    assert rank_exact(mat) == 50
+    assert time.perf_counter() - start < 5
+    # rank mod p <= rank over Q <= 50 by construction
+    assert rank_mod_p(mat, 2 ** 31 - 1) == 50
 
 
 def test_snf_known_example():
@@ -509,6 +562,8 @@ def _shipped_quotient_cases():
         for N in (0, 2, 3, 4, 5):
             if N or shape in ("[123]", "[1,2,3]", "[12,3]", "[13,2]"):
                 yield projector_presentation(shape, N), small
+        # no image at all; the walk also returns degrees at a != 0
+        yield projector_presentation(shape, HOMFLY), small
     for n in range(1, 6):
         for N in (2, 3, 4):
             yield stable_presentation(n, N), Window(0, 24, 0, 8)
