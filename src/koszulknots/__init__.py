@@ -12,8 +12,7 @@ from .presentations import (HOMFLY, PROJECTOR_SHAPES, Presentation, apply_d,
                             stable_presentation)
 from .homology import (HomologyGroup, HomologyTable, NonProperGradingError,
                        Window, basis_at, d_matrix, euler_characteristic_check,
-                       homology_at, homology_table, smith_normal_form,
-                       stabilized_homology_table)
+                       homology_at, homology_table, smith_normal_form)
 from .series import (Assembly, ExpansionError, LaurentPoly, RationalFunction,
                      SeriesWindow, assemble_torus2, assemble_torus3,
                      exact_divide, expand, formula, identity_check,
@@ -42,7 +41,7 @@ __all__ = [
     "normalize_lowest", "parse_table", "prime_field",
     "projector_presentation", "projector_series", "qta",
     "reduced_factorization_check", "reduced_presentation",
-    "smith_normal_form", "stabilized_homology_table", "stable_presentation",
+    "smith_normal_form", "stable_presentation",
     "stable_series", "stable_series_reduced", "torsion_certificate_tp",
     "verify_named_class",
 ]

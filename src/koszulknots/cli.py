@@ -45,8 +45,6 @@ def _build_parser():
     h.add_argument("--tmin", type=int, default=0)
     h.add_argument("--qmax", type=int, required=True)
     h.add_argument("--qmin", type=int, default=0)
-    h.add_argument("--bound", type=int,
-                   help="total even-exponent cap for truncated enumeration")
     h.add_argument("--out", help="write the table to a file")
 
     s = sub.add_parser("series", help="closed-form series and assemblies")
@@ -104,8 +102,7 @@ def _cmd_homology(args) -> int:
         pres = (reduced_presentation if args.reduced
                 else stable_presentation)(args.n, args.N)
     window = Window(args.qmin, args.qmax, args.tmin, args.tmax)
-    table = homology_table(pres, CoefficientRing.parse(args.coeff), window,
-                           bound=args.bound)
+    table = homology_table(pres, CoefficientRing.parse(args.coeff), window)
     text = table.serialize()
     if args.out:
         with open(args.out, "w") as fh:

@@ -2,11 +2,12 @@
 
 Graded pieces come from one enumerator over a (q, t) box, pruned by the
 size of the generator degrees: basis_at runs it on one degree and
-window_bases on a whole window.  Its walk is bounded by an integer
+window_bases on a whole window.  Its walk has one budget, an integer
 functional positive on every even generator degree, from the exact
-decision algebra.grading_functional; when no such functional exists the
-graded pieces are infinite, and the error names the exact witness, a
-product of even generators of degree zero.  The walk yields (even, odd)
+decision algebra.grading_functional, so every graded piece is whole and
+every table exact; when no such functional exists the graded pieces are
+infinite, and the error names the exact witness, a product of even
+generators of degree zero.  The walk yields (even, odd)
 exponent pairs, and GradedBasis builds Monomials only when read; d_matrix
 assembles exact integer matrices on the pairs from images compiled into
 exponent tuples; apply_d is the term-by-term reference the tests check it
@@ -35,7 +36,8 @@ from .presentations import Presentation
 
 
 class NonProperGradingError(ValueError):
-    """Graded pieces are infinite-dimensional; an exponent cap is required."""
+    """Graded pieces are infinite-dimensional: no functional is positive on
+    every even generator degree; the message names a degree-0 product."""
 
 
 @dataclass(frozen=True)
@@ -46,6 +48,11 @@ class Window:
     qmax: int = 0
     tmin: int = 0
     tmax: int = 0
+
+    def __post_init__(self):
+        if self.qmin > self.qmax or self.tmin > self.tmax:
+            raise ValueError(f"empty window q:{self.qmin}..{self.qmax}, "
+                             f"t:{self.tmin}..{self.tmax}")
 
     def degrees(self):
         for t in range(self.tmin, self.tmax + 1):
@@ -124,62 +131,51 @@ def _unit_images(pres: Presentation) -> dict:
     return taken
 
 
-def _search(pres: Presentation, corners, bound: int | None,
-            reduced: bool = False) -> dict:
+def _search(pres: Presentation, corners, reduced: bool = False) -> dict:
     """Monomials whose (q, t) lies in the box spanned by the corners.
 
     Returns (q, t, a) -> list of (even, odd) exponent pairs, unsorted, each
     a valid Monomial (exponents >= 0, odd indices increasing).  The walk is
-    finite because of two budgets, each a weight per even generator and an
-    amount left: the functional lam of grading_functional on the even
-    degrees (weights lam . deg_k >= 1, amount max lam . corner minus the
-    odd part, so every monomial of a corner's degree is reached) and the
-    exponent bound (weights 1).  Under each, algebra.exponent_rows prunes
-    every exponent to the values from which the box can still be reached.
+    finite because of one budget: the functional lam of grading_functional
+    gives even generator k the weight lam . deg_k >= 1, and the amount is
+    max lam . corner minus the odd part, so every monomial of a corner's
+    degree is reached.  algebra.exponent_rows prunes every exponent to the
+    values from which the box can still be reached within the budget.
 
-    reduced (without a bound) walks the quotient by _unit_images: it
-    skips their odd generators and caps exponent k below e for x_k^e.
+    reduced walks the quotient by _unit_images: it skips their odd
+    generators and caps exponent k below e for x_k^e.
     """
     ev = tuple((d.q, d.t, d.a) for d in pres.even_degrees)
     lam, witness = grading_functional(ev)
-    if lam is None and bound is None:
+    if lam is None:
         product = "*".join(s if e == 1 else f"{s}^{e}"
                            for s, e in zip(pres.even_symbols, witness) if e)
         raise NonProperGradingError(
             f"{pres.name} has infinite graded pieces "
-            f"(degree-0 product witness: {product}); pass an exponent bound")
-    units = _unit_images(pres) if reduced and bound is None else {}
+            f"(degree-0 product witness: {product})")
+    units = _unit_images(pres) if reduced else {}
     if not all(map(any, units.values())):
         return {}  # an image is 1, and R/(1) = 0
     caps = {f.index(sum(f)): sum(f) - 1 for f in units.values()}
     free = [j for j in range(pres.n_odd) if j not in units]
     n = len(ev)
-    weights = []
-    if lam is not None:
-        weights.append(tuple(sum(map(mul, lam, g)) for g in ev))
-        top = max(sum(map(mul, lam, (c.q, c.t, c.a))) for c in corners)
-    if bound is not None:
-        weights.append((1,) * n)
-
+    ws = tuple(sum(map(mul, lam, g)) for g in ev)
+    top = max(sum(map(mul, lam, (c.q, c.t, c.a))) for c in corners)
     box = [(c.q, c.t) for c in corners]
-    table = [(ws, list(exponent_rows(ev, ws, box))) for ws in weights]
+    rows = list(exponent_rows(ev, ws, box))
     found_at: dict = {}
 
-    def dfs(i, pos, exps, budgets, odd):
+    def dfs(i, pos, exps, budget, odd):
         q, t, a = pos
-        lo, hi = 0, min(budgets[0], caps.get(i, budgets[0]))
-        for b, (ws, rows) in zip(budgets, table):
-            blo, bhi = exponent_range(rows[i], q, t, b, ws[i])
-            lo, hi = max(lo, blo), min(hi, bhi)
+        lo, hi = exponent_range(rows[i], q, t, budget, ws[i])
+        hi = min(hi, caps.get(i, hi))
         dq, dt, da = ev[i]
         for e in range(lo, hi + 1):
             at = (q + e * dq, t + e * dt, a + e * da)
             if i == n - 1:
                 found_at.setdefault(at, []).append((exps + (e,), odd))
             else:
-                dfs(i + 1, at, exps + (e,),
-                    [b - e * ws[i] for b, (ws, _rows) in zip(budgets, table)],
-                    odd)
+                dfs(i + 1, at, exps + (e,), budget - e * ws[i], odd)
 
     for size in range(len(free) + 1):
         for S in itertools.combinations(free, size):
@@ -187,35 +183,30 @@ def _search(pres: Presentation, corners, bound: int | None,
             for j in S:
                 d = pres.odd_degrees[j]
                 q, t, a = q + d.q, t + d.t, a + d.a
-            budgets = []
-            if lam is not None:
-                budgets.append(top - sum(map(mul, lam, (q, t, a))))
-            if bound is not None:
-                budgets.append(bound - size)
-            if min(budgets) < 0:
+            budget = top - sum(map(mul, lam, (q, t, a)))
+            if budget < 0:
                 continue
             if n:
-                dfs(0, (q, t, a), (), budgets, S)
+                dfs(0, (q, t, a), (), budget, S)
             elif all(min(x) <= y <= max(x) for x, y in zip(zip(*box), (q, t))):
                 found_at.setdefault((q, t, a), []).append(((), S))
     return found_at
 
 
-def basis_at(pres: Presentation, deg: Degree, bound: int | None = None
-             ) -> GradedBasis:
+def basis_at(pres: Presentation, deg: Degree) -> GradedBasis:
     """All monomials of exactly the given degree, as sorted exponent pairs.
 
     One call of the shared enumerator on the one-degree box, with the
     lam-budget lam . deg (the a-degree included); the monomials of other
-    a-degrees it meets are dropped.  Without a bound the presentation must
-    be properly graded, or NonProperGradingError names a witness (x^9*y).
+    a-degrees it meets are dropped.  The presentation must be properly
+    graded, or NonProperGradingError names a witness (x^9*y).
     """
-    found = _search(pres, [deg], bound).get((deg.q, deg.t, deg.a), [])
+    found = _search(pres, [deg]).get((deg.q, deg.t, deg.a), [])
     return GradedBasis(deg, sorted(found))
 
 
 def window_bases(pres: Presentation, window: Window,
-                 bound: int | None = None, reduced: bool = False) -> dict:
+                 reduced: bool = False) -> dict:
     """Bases for every degree in the window by one enumeration.
 
     Returns Degree -> GradedBasis of the walk's exponent pairs for the
@@ -228,16 +219,16 @@ def window_bases(pres: Presentation, window: Window,
     many (x z has degree (0, 0, 1) for even degrees (1, 0, 1) and
     (-1, 0, 0)), so ask basis_at for them.
 
-    reduced (ignored with a bound) gives homology_table's quotient complex:
+    reduced gives homology_table's quotient complex:
     no xi_j of _unit_images and no multiple of its image x_k^e.
     """
     corners = [Degree(q, t) for q in (window.qmin, window.qmax)
                for t in (window.tmin - 1, window.tmax + 1)]
     return {Degree(*key): GradedBasis(Degree(*key), sorted(exps))
-            for key, exps in _search(pres, corners, bound, reduced).items()}
+            for key, exps in _search(pres, corners, reduced).items()}
 
 
-def d_matrix(pres: Presentation, deg: Degree, bound: int | None = None,
+def d_matrix(pres: Presentation, deg: Degree,
              src: GradedBasis | None = None, dst: GradedBasis | None = None
              ) -> IntegerMatrix:
     """Matrix of the differential from degree deg to degree deg - t_step.
@@ -251,9 +242,9 @@ def d_matrix(pres: Presentation, deg: Degree, bound: int | None = None,
     same images through SuperPolynomial products, for the tests.
     """
     if src is None:
-        src = basis_at(pres, deg, bound)
+        src = basis_at(pres, deg)
     if dst is None:
-        dst = basis_at(pres, deg - T_STEP, bound)
+        dst = basis_at(pres, deg - T_STEP)
     images = [[(c, m.even) for m, c in img.terms.items()] if img else []
               for img in pres.d_images]
     index = {pair: r for r, pair in enumerate(dst.exps)}
@@ -264,8 +255,8 @@ def d_matrix(pres: Presentation, deg: Degree, bound: int | None = None,
             sign = -1 if l % 2 else 1
             for c, f in images[j]:
                 r = index.get((tuple(map(add, even, f)), rest))
-                # a missing row is reduced away by homology_table's quotient,
-                # past an exponent bound, or a term of an inhomogeneous image
+                # a missing row is reduced away by homology_table's quotient
+                # or is a term of an inhomogeneous image, of another degree
                 if r is not None:
                     entries[(r, col)] = sign * c
     return IntegerMatrix(len(dst.exps), len(src.exps), entries)
@@ -483,7 +474,6 @@ class HomologyTable:
     ring: CoefficientRing
     window: Window
     groups: dict  # Degree -> HomologyGroup
-    bound: int | None = None
 
     def rank_at(self, deg: Degree) -> int:
         g = self.groups.get(deg)
@@ -500,8 +490,6 @@ class HomologyTable:
             f"window=q:{self.window.qmin}..{self.window.qmax},"
             f"t:{self.window.tmin}..{self.window.tmax}",
         ]
-        if self.bound is not None:
-            lines.append(f"bound={self.bound}")
         for deg, g in self.sorted_items():
             line = f"q={deg.q}, t={deg.t}, rank={g.free_rank}"
             if g.torsion:
@@ -513,7 +501,6 @@ class HomologyTable:
     def parse(cls, text: str) -> "HomologyTable":
         ring = None
         window = None
-        bound = None
         pres_name = "?"
         groups = {}
         lineno = 0
@@ -533,8 +520,6 @@ class HomologyTable:
                     qlo, qhi = qpart[2:].split("..")
                     tlo, thi = tpart[2:].split("..")
                     window = Window(int(qlo), int(qhi), int(tlo), int(thi))
-                elif line.startswith("bound="):
-                    bound = int(line[len("bound="):])
                 else:
                     fields = {}
                     for kv in line.split(","):
@@ -558,11 +543,11 @@ class HomologyTable:
         if ring is None or window is None:
             raise ValueError(f"line {lineno}: input ends without a coeff= "
                              "or window= header")
-        return cls(pres_name, ring, window, groups, bound)
+        return cls(pres_name, ring, window, groups)
 
 
-def homology_table(pres: Presentation, ring: CoefficientRing, window: Window,
-                   bound: int | None = None) -> HomologyTable:
+def homology_table(pres: Presentation, ring: CoefficientRing, window: Window
+                   ) -> HomologyTable:
     """Homology over the chosen ring at every degree of the window.
 
     One enumeration (window_bases) backs all degrees; each matrix of the
@@ -580,28 +565,15 @@ def homology_table(pres: Presentation, ring: CoefficientRing, window: Window,
     nonzerodivisor f, H(K(f, g_2, ...; R)) = H(K(g_2, ...; R/f))
     (Eisenbud, Commutative Algebra, section 17).  So window_bases walks
     R/(f_j) tensored with the exterior algebra on the other xi.
-
-    An exponent bound truncates the complex to the monomials within it.
-    That is the quotient by the monomials past the bound, a subcomplex
-    because d never lowers the total exponent, unless some d(xi_j) has a
-    constant term; such a presentation is rejected with a ValueError.
-    A bounded table is not reduced: truncation and quotient do not commute.
     """
-    if bound is not None:
-        for sym, img in zip(pres.odd_symbols, pres.d_images):
-            if img and any(m.is_one() for m in img.terms):
-                raise ValueError(
-                    f"{pres.name}: d({sym}) has a constant term, so the "
-                    "matrices truncated by an exponent bound do not form a "
-                    "complex; compute without a bound")
-    bases = window_bases(pres, window, bound, reduced=True)
+    bases = window_bases(pres, window, reduced=True)
 
     def basis(deg):
         return bases.get(deg) or GradedBasis(deg, [])
 
     def matrix(deg):
         # not kept: each degree needs either a rank or a Smith form
-        return d_matrix(pres, deg, bound, src=basis(deg),
+        return d_matrix(pres, deg, src=basis(deg),
                         dst=basis(deg - T_STEP))
 
     @cache
@@ -625,11 +597,11 @@ def homology_table(pres: Presentation, ring: CoefficientRing, window: Window,
         free = len(b.exps) - rk(deg) - rk(deg + T_STEP)
         if free or torsion:
             groups[deg] = HomologyGroup(free, torsion)
-    return HomologyTable(pres.name, ring, window, groups, bound)
+    return HomologyTable(pres.name, ring, window, groups)
 
 
-def homology_at(pres: Presentation, deg: Degree, ring: CoefficientRing,
-                bound: int | None = None) -> HomologyGroup:
+def homology_at(pres: Presentation, deg: Degree, ring: CoefficientRing
+                ) -> HomologyGroup:
     """Homology at one degree: homology_table on the one-degree window.
 
     Tables are slices at a = 0, so deg must have a-degree 0.
@@ -637,25 +609,8 @@ def homology_at(pres: Presentation, deg: Degree, ring: CoefficientRing,
     if deg.a:
         raise ValueError(f"homology is computed at a = 0 only, got {deg}")
     window = Window(deg.q, deg.q, deg.t, deg.t)
-    return homology_table(pres, ring, window, bound).groups.get(
+    return homology_table(pres, ring, window).groups.get(
         deg, HomologyGroup(0))
-
-
-def stabilized_homology_table(pres: Presentation, ring: CoefficientRing,
-                              window: Window, caps=(12, 16)):
-    """Truncated tables at two exponent caps; cells must agree to count.
-
-    Returns (table_at_larger_cap, unstable_degrees).  Intended for
-    presentations whose enumeration is capped for honesty rather than
-    necessity: agreement across caps is the stability certificate.
-    """
-    small = homology_table(pres, ring, window, bound=min(caps))
-    large = homology_table(pres, ring, window, bound=max(caps))
-    unstable = sorted(
-        (deg for deg in set(small.groups) | set(large.groups)
-         if small.groups.get(deg) != large.groups.get(deg)),
-        key=lambda d: d.key())
-    return large, unstable
 
 
 def euler_characteristic_check(pres: Presentation, ring: CoefficientRing,

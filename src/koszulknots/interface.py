@@ -188,14 +188,18 @@ def compare(model: HomologyTable, ext: ExternalTable, shift="auto",
     shift="auto" aligns the lowest nonzero cells in (t, q) order;
     otherwise the model's q is mapped to q + shift.  torsion_primes, when
     given, restricts the torsion comparison to those primes (for sources
-    that print torsion selectively).
+    that print torsion selectively).  Only the data cells inside the
+    model's window (after the shift) are compared: the model says nothing
+    about the rest.
     """
     if ext.ring is not None and ext.ring != model.ring:
         raise ValueError(f"coefficient ring mismatch: model {model.ring}, "
                          f"data {ext.ring}")
+    w = model.window
     # both sides as prime-power multisets, so tor=6 matches Z/6
-    data = {k: (r, _prime_power_multiset(tor, torsion_primes))
-            for k, (r, tor) in ext.qt_cells().items()}
+    data = {(q, t): (r, _prime_power_multiset(tor, torsion_primes))
+            for (q, t), (r, tor) in ext.qt_cells().items()
+            if w.tmin <= t <= w.tmax}
     model_cells = {}
     for d, g in model.groups.items():
         cell = (g.free_rank, _prime_power_multiset(g.torsion, torsion_primes))
@@ -216,6 +220,8 @@ def compare(model: HomologyTable, ext: ExternalTable, shift="auto",
             s = dq - mq
     else:
         s = int(shift)
+    data = {(q, t): c for (q, t), c in data.items()
+            if w.qmin <= q - s <= w.qmax}
 
     keys = {(q + s, t) for q, t in model_cells} | set(data)
     mismatches = []

@@ -16,7 +16,7 @@ from koszulknots.algebra import (Degree, Monomial, QQ, ZZ, mono_degree,
 from koszulknots.homology import (IntegerMatrix, Window,
                                   euler_characteristic_check, homology_at,
                                   homology_table, smith_normal_form,
-                                  stabilized_homology_table, window_bases)
+                                  window_bases)
 from koszulknots.interface import compare, parse_table
 from koszulknots.presentations import (apply_d, mu, projector_presentation,
                                        reduced_presentation,
@@ -281,21 +281,3 @@ def test_criterion_11_projector_homology():
                     projector_presentation(shape, N),
                     projector_series(shape, N, "dN"),
                     tmax=12, qmax=60, tmin=-12, qmin=-60)
-        # The truncation-stabilization protocol with caps {12, 16} is the
-        # documented fallback for the hook algebras.  On these algebras it
-        # is demonstrably unreliable: either the caps disagree (flagged
-        # unstable) or they agree on values that differ from the exact
-        # table.  The hooks above are therefore verified exactly; the
-        # protocol run below records its honest failure mode.
-        pres = projector_presentation("[12,3]", 3)
-        window = Window(-24, 24, -6, 6)
-        capped, unstable = stabilized_homology_table(pres, QQ, window,
-                                                     caps=(12, 16))
-        exact = homology_table(pres, QQ, window)
-        false_stable = [d for d, g in capped.groups.items()
-                        if d not in unstable
-                        and g.free_rank != exact.rank_at(d)]
-        assert unstable or false_stable
-        print(f"criterion 11 (note): caps protocol on hook [12,3]: "
-              f"{len(unstable)} unstable, {len(false_stable)} silently "
-              f"wrong cells -> exact verification used instead")

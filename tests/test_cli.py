@@ -38,14 +38,6 @@ def test_homology_to_file(tmp_path, capsys):
     assert "coeff=Z" in text
 
 
-def test_homology_projector_with_bound(capsys):
-    code, out, _err = run(capsys, "homology", "--tableau", "[12]",
-                          "--N", "2", "--tmax", "2", "--qmax", "8",
-                          "--qmin", "-8", "--tmin", "-2", "--bound", "8")
-    assert code == 0
-    assert "rank=" in out
-
-
 def test_homology_coeff_tags_agree(capsys):
     args = ("homology", "--n", "3", "--N", "2", "--tmax", "6",
             "--qmax", "16", "--coeff")
@@ -54,14 +46,6 @@ def test_homology_coeff_tags_agree(capsys):
     assert run(capsys, *args, "F3") == (0, out_fp, "")
     code, _out, err = run(capsys, *args, "R")
     assert code == 2 and "unknown coefficient tag" in err
-
-
-def test_homology_bound_with_constant_term_is_rejected(capsys):
-    code, out, err = run(capsys, "homology", "--tableau", "[1,2,3]",
-                         "--N", "2", "--bound", "6", "--qmin", "-20",
-                         "--qmax", "20", "--tmin", "-5", "--tmax", "5")
-    assert code == 2 and out == ""
-    assert "constant term" in err
 
 
 def test_homology_usage_errors(capsys):
@@ -74,6 +58,12 @@ def test_homology_usage_errors(capsys):
                           "--reduced", "--N", "2", "--tmax", "2",
                           "--qmax", "4")
     assert code == 2
+    code, out, err = run(capsys, "homology", "--n", "2", "--qmin", "10",
+                         "--qmax", "0", "--tmax", "4")
+    assert code == 2 and out == "" and "empty window" in err
+    code, _out, err = run(capsys, "homology", "--n", "2", "--tmax", "4",
+                          "--qmax", "8", "--bound", "6")
+    assert code == 2 and "--bound" in err
 
 
 # ---------------------------------------------------------------------------

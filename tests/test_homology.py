@@ -20,7 +20,7 @@ from koszulknots.homology import (HomologyGroup, HomologyTable,
                                   d_matrix, euler_characteristic_check,
                                   homology_at, homology_table, rank_exact,
                                   rank_mod_p, smith_normal_form,
-                                  stabilized_homology_table, window_bases)
+                                  window_bases)
 from koszulknots.presentations import (HOMFLY, PROJECTOR_SHAPES,
                                        Presentation, apply_d,
                                        projector_presentation,
@@ -251,50 +251,62 @@ def _box(window, a_degrees=(0,)):
 def test_window_bases_match_per_degree():
     hook_window = Window(-60, 60, -12, 12)  # the hook_Q benchmark window
     cases = [
-        (projector_presentation("[12,3]", 2), Window(-12, 12, -4, 4), None,
+        (projector_presentation("[12,3]", 2), Window(-12, 12, -4, 4),
          _box(Window(-12, 12, -4, 4))),
-        (projector_presentation("[12,3]", 3), hook_window, None,
+        (projector_presentation("[12,3]", 3), hook_window,
          _edges(hook_window)),
         # HOMFLY: odd generators carry a = 2, so pieces at a != 0 exist
         (projector_presentation("[123]", "homfly"), Window(-16, 16, -3, 3),
-         None, _box(Window(-16, 16, -3, 3), (0, 2, 4, 6))),
-        # no positive functional: the exponent bound alone keeps it finite
-        (_degenerate(), Window(-10, 10, -1, 2), 5, _box(Window(-10, 10, -1, 2))),
+         _box(Window(-16, 16, -3, 3), (0, 2, 4, 6))),
     ]
     key = lambda m: (m.even, m.odd)
-    for pres, window, bound, degrees in cases:
-        bases = window_bases(pres, window, bound)
+    for pres, window, degrees in cases:
+        bases = window_bases(pres, window)
         assert all(window.qmin <= d.q <= window.qmax
                    and window.tmin - 1 <= d.t <= window.tmax + 1
                    and b.monomials for d, b in bases.items())
         for deg in degrees:
             got = bases.get(deg)
-            want = basis_at(pres, deg, bound)
+            want = basis_at(pres, deg)
             assert sorted((got.monomials if got else []), key=key) \
                 == sorted(want.monomials, key=key), (pres.name, deg)
 
 
-@pytest.mark.parametrize("pres,window,bound", [
-    (_degenerate(), Window(-10, 10, -1, 2), 5),
-    (projector_presentation("[12,3]", "homfly"), Window(-16, 16, -3, 3), 4),
+@pytest.mark.parametrize("pres,window,lam", [
+    (projector_presentation("[12,3]", "homfly"), Window(-16, 16, -3, 3),
+     (3, -5, 0)),
     (projector_presentation("[13,2]", 3, "displayed"), Window(-16, 16, -3, 3),
-     5),
-    (stable_presentation(4, 3), Window(0, 30, 0, 10), 6),
+     (2, -5, 0)),
+    (stable_presentation(4, 3), Window(0, 24, 0, 8), (1, -1, 0)),
 ], ids=lambda v: getattr(v, "name", ""))
-def test_window_bases_match_brute_force(pres, window, bound):
-    """Bounded enumeration against every monomial of total exponent at most
-    the bound, listed without any pruning."""
+def test_window_bases_match_brute_force(pres, window, lam):
+    """The pruned walk against every monomial within its budget, listed
+    without any pruning: each even exponent k at most B // (lam . deg_k),
+    B the largest budget of an odd part (top, the largest lam . corner of
+    the box, minus the odd part's lam . degree)."""
+    dot = lambda d: lam[0] * d.q + lam[1] * d.t + lam[2] * d.a
+    assert grading_functional(tuple((d.q, d.t, d.a)
+                                    for d in pres.even_degrees))[0] == lam
+    top = max(dot(Degree(q, t)) for q in (window.qmin, window.qmax)
+              for t in (window.tmin - 1, window.tmax + 1))
+    budget = top - sum(min(0, dot(d)) for d in pres.odd_degrees)
+    odd_parts = [(odd, sum((pres.odd_degrees[j] for j in odd), Degree(0, 0)))
+                 for size in range(pres.n_odd + 1)
+                 for odd in itertools.combinations(range(pres.n_odd), size)]
     want = {}
-    for even in itertools.product(range(bound + 1), repeat=pres.n_even):
-        for size in range(pres.n_odd + 1):
-            for odd in itertools.combinations(range(pres.n_odd), size):
+    for even in itertools.product(*(range(budget // dot(d) + 1)
+                                    for d in pres.even_degrees)):
+        base = sum((d.scale(e) for e, d in zip(even, pres.even_degrees)),
+                   Degree(0, 0))
+        for odd, part in odd_parts:
+            deg = base + part
+            if (dot(deg) <= top
+                    and window.qmin <= deg.q <= window.qmax
+                    and window.tmin - 1 <= deg.t <= window.tmax + 1):
                 m = Monomial(even, odd)
-                deg = mono_degree(m, pres)
-                if (m.total_exponent() <= bound
-                        and window.qmin <= deg.q <= window.qmax
-                        and window.tmin - 1 <= deg.t <= window.tmax + 1):
-                    want.setdefault(deg, []).append(m)
-    got = window_bases(pres, window, bound)
+                assert mono_degree(m, pres) == deg
+                want.setdefault(deg, []).append(m)
+    got = window_bases(pres, window)
     assert {d: b.monomials for d, b in got.items()} \
         == {d: sorted(ms, key=lambda m: (m.even, m.odd))
             for d, ms in want.items()}
@@ -345,8 +357,11 @@ def test_hook_window_stays_in_exponent_pairs(monkeypatch):
 
 
 def test_non_proper_grading_detected():
-    with pytest.raises(NonProperGradingError, match=r"witness: u\*v\)"):
+    with pytest.raises(NonProperGradingError,
+                       match=r"witness: u\*v\)$") as err:
         basis_at(_degenerate(), Degree(0, 0))
+    # no option makes such a presentation computable
+    assert "bound" not in str(err.value)
 
 
 def _even_only(name, *degrees):
@@ -398,26 +413,26 @@ def test_grading_functional_of_benchmark_presentations():
 
 
 def _d_matrix_cases():
-    cases = [(projector_presentation(shape, N), None, Window(-16, 16, -4, 4))
+    cases = [(projector_presentation(shape, N), False, Window(-16, 16, -4, 4))
              for shape in PROJECTOR_SHAPES for N in (2, 3)]
-    cases += [(projector_presentation(shape, 0), None, Window(-16, 16, -4, 4))
+    cases += [(projector_presentation(shape, 0), False, Window(-16, 16, -4, 4))
               for shape in ("[123]", "[1,2,3]", "[12,3]", "[13,2]")]
-    # truncated by the bound, and with an inhomogeneous xi0 image
-    cases.append((projector_presentation("[13,2]", 3, "displayed"), 5,
+    # the displayed xi0 image x0^(N-1) is not of xi0's degree
+    cases.append((projector_presentation("[13,2]", 3, "displayed"), True,
                   Window(-16, 16, -4, 4)))
-    cases.append((stable_presentation(4, 3), None, Window(0, 30, 0, 10)))
+    cases.append((stable_presentation(4, 3), False, Window(0, 30, 0, 10)))
     return cases
 
 
-@pytest.mark.parametrize("pres,bound,window", _d_matrix_cases(),
+@pytest.mark.parametrize("pres,inhomogeneous,window", _d_matrix_cases(),
                          ids=lambda v: getattr(v, "name", ""))
-def test_d_matrix_matches_apply_d(pres, bound, window):
+def test_d_matrix_matches_apply_d(pres, inhomogeneous, window):
     """Every column of the compiled differential against apply_d."""
-    truncated = 0
+    truncated = off_degree = 0
     for deg in window.degrees():
-        mat = d_matrix(pres, deg, bound)
-        src = basis_at(pres, deg, bound).monomials
-        dst = basis_at(pres, deg - T_STEP, bound).monomials
+        mat = d_matrix(pres, deg)
+        src = basis_at(pres, deg).monomials
+        dst = basis_at(pres, deg - T_STEP).monomials
         assert (mat.rows, mat.cols) == (len(dst), len(src))
         row = {m: r for r, m in enumerate(dst)}
         want = {}
@@ -428,9 +443,12 @@ def test_d_matrix_matches_apply_d(pres, bound, window):
                     want[(row[target], col)] = v
                 elif mono_degree(target, pres) == deg - T_STEP:
                     truncated += 1
+                else:
+                    off_degree += 1
         assert mat.entries == want, (pres.name, deg)
-    # a bounded case has targets of the right degree past the bound
-    assert bool(truncated) == (bound is not None)
+    # the bases are whole: every target of the right degree has a row
+    assert not truncated
+    assert bool(off_degree) == inhomogeneous
 
 
 def test_d_matrix_squares_to_zero():
@@ -506,22 +524,22 @@ def test_euler_characteristic_full_columns():
 def test_homology_at_matches_table():
     """Every degree of the window, zero cells included."""
     cases = [
-        (stable_presentation(2, 3), ZZ, Window(0, 16, 0, 6), None),
-        (stable_presentation(3, 2), QQ, Window(0, 18, 0, 8), None),
-        (stable_presentation(3, 2), prime_field(3), Window(0, 18, 0, 8),
-         None),
+        (stable_presentation(2, 3), ZZ, Window(0, 16, 0, 6)),
+        (stable_presentation(3, 2), QQ, Window(0, 18, 0, 8)),
+        (stable_presentation(3, 2), prime_field(3), Window(0, 18, 0, 8)),
+        # with the inhomogeneous xi0 image
         (projector_presentation("[13,2]", 3, "displayed"), ZZ,
-         Window(-12, 12, -3, 3), 5),
+         Window(-12, 12, -3, 3)),
     ]
-    for pres, ring, window, bound in cases:
-        table = homology_table(pres, ring, window, bound)
+    for pres, ring, window in cases:
+        table = homology_table(pres, ring, window)
         for deg in window.degrees():
-            single = homology_at(pres, deg, ring, bound)
+            single = homology_at(pres, deg, ring)
             g = table.groups.get(deg, HomologyGroup(0))
             assert (single.free_rank, single.torsion) \
                 == (g.free_rank, g.torsion), (pres.name, ring, deg)
         with pytest.raises(ValueError, match="a = 0"):
-            homology_at(pres, Degree(0, 0, 1), ring, bound)
+            homology_at(pres, Degree(0, 0, 1), ring)
 
 
 F2, F3 = prime_field(2), prime_field(3)
@@ -631,11 +649,6 @@ def test_quotient_edge_cases(pres, taken):
                    for b in reduced.values() for _even, odd in b.exps)
     if not taken:
         assert _exps(reduced) == _exps(window_bases(pres, window))
-    # with a bound the walk is not reduced
-    if not any(m.is_one() for img in pres.d_images if img
-               for m in img.terms):
-        assert _exps(window_bases(pres, window, 4, reduced=True)) == \
-            _exps(window_bases(pres, window, 4))
     if pres.name in ("projector([1,2,3],d2)", "one"):
         assert homology_table(pres, ZZ, window).groups == {}
 
@@ -649,18 +662,6 @@ def test_quotient_keeps_the_non_proper_grading_witness():
         [SuperPolynomial.from_monomial(ZZ, Monomial((1, 0)))])
     with pytest.raises(NonProperGradingError, match=r"witness: u\*v\)"):
         homology_table(pres, QQ, Window(0, 0, 0, 0))
-
-
-def test_bounded_table_rejects_constant_differential_term():
-    """d(theta2) = 1 in [1,2,3] at N=2: truncated matrices do not compose
-    to zero and would give negative free ranks, so a bound is refused."""
-    pres = projector_presentation("[1,2,3]", 2)
-    with pytest.raises(ValueError, match=r"d\(theta2\) has a constant term"):
-        homology_table(pres, QQ, Window(-20, 20, -5, 5), bound=6)
-    with pytest.raises(ValueError, match="constant term"):
-        homology_at(pres, Degree(-12, -5), QQ, bound=6)
-    # without a bound the table is exact
-    homology_table(pres, QQ, Window(-20, 20, -5, 5))
 
 
 def test_serialize_parse_round_trip():
@@ -681,6 +682,8 @@ def test_serialize_parse_round_trip():
     ("coeff=Q\nwindow=q:0..1,t:0..1\nq=1, t=0\n", 3),
     ("coeff=Q\nwindow=q:0..1,t:0..1\nq=1, t=0, rank=0, tor=3;2\n", 3),
     ("coeff=Q\nwindow=q:0..1,t:0..1\nbound=many\n", 3),
+    ("coeff=Q\nwindow=q:0..1,t:0..1\nbound=6\n", 3),
+    ("coeff=Q\nwindow=q:3..1,t:0..1\n", 2),
     ("coeff=Q\nwindow=q:0..1,t:0..1\nq=1, t=0, rank=1, bogus=7\n", 3),
     ("coeff=Q\nwindow=q:0..1,t:0..1\nq=1, q=0, t=0, rank=1, rank=5\n", 3),
     ("coeff=Q\nwindow=q:0..1,t:0..1\nq=1, t=0, rank=1\nq=1, t=0, rank=2\n",
@@ -707,27 +710,3 @@ def test_table_parse_fuzz(lines):
             HomologyTable.parse(candidate)
         except ValueError as exc:
             assert str(exc).startswith("line ")
-
-
-def test_stabilized_table_flags_instability():
-    """Truncation caps that disagree are reported, not silently accepted."""
-    pres = projector_presentation("[12,3]", 3)
-    window = Window(-24, 24, -8, 8)
-    table, unstable = stabilized_homology_table(pres, QQ, window,
-                                                caps=(4, 6))
-    assert unstable  # these caps are far too small for the hook algebra
-    exact = homology_table(pres, QQ, window)
-    # where the caps agree and are honest, they match the exact table
-    stable_cells = set(exact.groups) - set(unstable)
-    assert stable_cells or unstable
-
-
-def test_stable_model_needs_no_cap():
-    pres = stable_presentation(2, 2)
-    window = Window(0, 16, 0, 8)
-    table, unstable = stabilized_homology_table(pres, QQ, window,
-                                                caps=(12, 16))
-    assert unstable == []
-    exact = homology_table(pres, QQ, window)
-    assert {d: g.free_rank for d, g in table.groups.items()} \
-        == {d: g.free_rank for d, g in exact.groups.items()}

@@ -184,3 +184,20 @@ def test_compare_misaligned_lowest_t():
     ext.cells[(3, 0)] = (1, ())
     with pytest.raises(ValueError):
         compare(model, ext)
+
+
+def test_compare_stays_inside_the_model_window():
+    # data past the model's window was never computed by the model, so it
+    # is neither a mismatch nor part of the agreeing region
+    model = small_model()
+    ext = to_external(model, shift=4)
+    ext.cells[(7, 0)] = (1, ())  # t = 7 > tmax
+    ext.cells[(0, 30)] = (1, ())  # q - 4 = 26 > qmax
+    report = compare(model, ext)
+    assert report.agree and report.shift == 4
+    assert report.agreeing_region == (0, 6)
+    t59 = homology_table(stable_presentation(5, 3), ZZ, Window(0, 60, 0, 8))
+    report = compare(t59, parse_table(fixture("table1_T59_Z.txt")),
+                     torsion_primes={5})
+    assert report.agree and report.agreeing_region == (0, 8)
+    assert "agreement for t in [0, 8]" in report.text()
