@@ -252,12 +252,6 @@ class Monomial:
     def parity(self) -> int:
         return len(self.odd) % 2
 
-    def total_exponent(self) -> int:
-        return sum(self.even) + len(self.odd)
-
-    def is_one(self) -> bool:
-        return not self.odd and not any(self.even)
-
 
 def one_monomial(n_even: int) -> Monomial:
     return Monomial((0,) * n_even)

@@ -466,6 +466,93 @@ def smith_normal_form(mat: IntegerMatrix, transforms: bool = False):
 # homology
 
 
+class TableFormatError(ValueError):
+    """Malformed table text; the message starts with the line number."""
+
+
+def _read_table(text: str, headers: dict, keys: tuple, torsion):
+    """Read the line grammar that model tables and external data share.
+
+    ``#`` starts a comment and blank lines are skipped.  A line
+    ``name=value`` with name in headers is a header, parsed once by
+    headers[name].  Every other line is a cell: comma-separated
+    ``key=value`` fields, one per name in keys, all integers and the last a
+    rank >= 0, and an optional tor field whose list may continue over
+    further commas, parsed by torsion.  Returns the parsed headers, the
+    cells as {key values but the rank: (rank, torsion)}, the line of each
+    cell, and the stripped lines that hold only a comment or nothing.
+    """
+    found, cells, lines, comments = {}, {}, {}, []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            comments.append(raw.strip())
+            continue
+        try:
+            name, _, value = line.partition("=")
+            if name in headers:
+                if name in found:
+                    raise ValueError(f"repeated {name}= header")
+                try:
+                    found[name] = headers[name](value)
+                except ValueError as exc:
+                    raise ValueError(
+                        f"bad {name} header {line!r} ({exc})") from None
+                continue
+            fields, key = {}, None
+            for chunk in line.split(","):
+                if "=" in chunk:
+                    key, val = chunk.split("=", 1)
+                    key = key.strip()
+                    if key in fields:
+                        raise ValueError(f"duplicate field {key!r}")
+                    fields[key] = val.strip()
+                elif key == "tor":
+                    fields["tor"] += "," + chunk.strip()
+                else:
+                    raise ValueError(f"stray token {chunk.strip()!r}")
+            missing = set(keys) - set(fields)
+            if missing:
+                raise ValueError(f"missing field(s) {sorted(missing)}")
+            unknown = set(fields) - set(keys) - {"tor"}
+            if unknown:
+                raise ValueError(f"unknown field(s) {sorted(unknown)}")
+            try:
+                *cell, rank = (int(fields[k]) for k in keys)
+            except ValueError:
+                raise ValueError(f"non-integer entry in {line!r}") from None
+            if rank < 0:
+                raise ValueError("negative rank")
+            cell = tuple(cell)
+            if cell in cells:
+                raise ValueError("duplicate cell (" + ", ".join(
+                    f"{k}={v}" for k, v in zip(keys, cell)) + ")")
+            try:
+                tor = torsion(fields["tor"]) if "tor" in fields else ()
+            except ValueError as exc:
+                raise ValueError(f"bad torsion entry {fields['tor']!r} "
+                                 f"({exc})") from None
+        except ValueError as exc:
+            raise TableFormatError(f"line {lineno}: {exc}") from None
+        cells[cell] = (rank, tor)
+        lines[cell] = lineno
+    return found, cells, lines, comments
+
+
+def _parse_window(text: str) -> Window:
+    qpart, tpart = text.split(",")
+    if qpart[:2] != "q:" or tpart[:2] != "t:":
+        raise ValueError("window needs q: and t: ranges")
+    qlo, qhi = qpart[2:].split("..")
+    tlo, thi = tpart[2:].split("..")
+    return Window(int(qlo), int(qhi), int(tlo), int(thi))
+
+
+def _parse_invariant_factors(text: str) -> tuple:
+    """'3;9' -> (3, 9); HomologyGroup checks the divisibility chain."""
+    return HomologyGroup(0, tuple(int(d) for d in text.split(";"))).torsion
+
+
 @dataclass
 class HomologyTable:
     """Nonzero homology groups per degree inside a finite window."""
@@ -499,51 +586,23 @@ class HomologyTable:
 
     @classmethod
     def parse(cls, text: str) -> "HomologyTable":
-        ring = None
-        window = None
-        pres_name = "?"
-        groups = {}
-        lineno = 0
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.split("#", 1)[0].strip()
-            if raw.strip().startswith("# presentation:"):
-                pres_name = raw.split(":", 1)[1].strip()
-            if not line:
-                continue
-            try:
-                if line.startswith("coeff="):
-                    ring = CoefficientRing.parse(line[len("coeff="):])
-                elif line.startswith("window="):
-                    qpart, tpart = line[len("window="):].split(",")
-                    if qpart[:2] != "q:" or tpart[:2] != "t:":
-                        raise ValueError("window needs q: and t: ranges")
-                    qlo, qhi = qpart[2:].split("..")
-                    tlo, thi = tpart[2:].split("..")
-                    window = Window(int(qlo), int(qhi), int(tlo), int(thi))
-                else:
-                    fields = {}
-                    for kv in line.split(","):
-                        key, val = kv.strip().split("=", 1)
-                        if key in fields:
-                            raise ValueError(f"duplicate field {key!r}")
-                        fields[key] = val
-                    unknown = set(fields) - {"q", "t", "rank", "tor"}
-                    if unknown:
-                        raise ValueError(f"unknown field(s) {sorted(unknown)}")
-                    tor = ()
-                    if "tor" in fields:
-                        tor = tuple(int(x) for x in fields["tor"].split(";"))
-                    deg = Degree(int(fields["q"]), int(fields["t"]))
-                    if deg in groups:
-                        raise ValueError(f"duplicate cell {deg}")
-                    groups[deg] = HomologyGroup(int(fields["rank"]), tor)
-            except (KeyError, ValueError) as exc:
-                raise ValueError(f"line {lineno}: malformed line {raw!r} "
-                                 f"({exc})") from exc
-        if ring is None or window is None:
-            raise ValueError(f"line {lineno}: input ends without a coeff= "
-                             "or window= header")
-        return cls(pres_name, ring, window, groups)
+        """Inverse of serialize; malformed text raises TableFormatError."""
+        headers, cells, lines, comments = _read_table(
+            text, {"coeff": CoefficientRing.parse, "window": _parse_window},
+            ("q", "t", "rank"), _parse_invariant_factors)
+        if len(headers) < 2:
+            raise TableFormatError(f"line {len(text.splitlines())}: input "
+                                   "ends without a coeff= or window= header")
+        window, groups = headers["window"], {}
+        for (q, t), (rank, torsion) in cells.items():
+            if not window.contains(Degree(q, t)):
+                raise TableFormatError(f"line {lines[q, t]}: cell q={q}, "
+                                       f"t={t} lies outside the window")
+            groups[Degree(q, t)] = HomologyGroup(rank, torsion)
+        names = [c.split(":", 1)[1].strip() for c in comments
+                 if c.startswith("# presentation:")]
+        return cls(names[-1] if names else "?", headers["coeff"], window,
+                   groups)
 
 
 def homology_table(pres: Presentation, ring: CoefficientRing, window: Window

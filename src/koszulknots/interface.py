@@ -11,11 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebra import CoefficientRing
-from .homology import HomologyTable
-
-
-class TableFormatError(ValueError):
-    """Malformed external table input; message carries the line number."""
+from .homology import HomologyTable, TableFormatError, _read_table
 
 
 @dataclass
@@ -41,22 +37,20 @@ class ExternalTable:
         return out
 
 
-def _parse_torsion(text: str, lineno: int):
+def _parse_torsion(text: str) -> tuple:
+    """'5^2, 3' -> ((5, 2), (3, 1)); empty pieces are skipped."""
     entries = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
+    for piece in filter(None, (p.strip() for p in text.split(","))):
         base, _, count = piece.partition("^")
-        try:
-            entries.append((int(base), int(count) if count else 1))
-        except ValueError:
-            raise TableFormatError(
-                f"line {lineno}: bad torsion entry {piece!r}") from None
+        entries.append((int(base), int(count) if count else 1))
         if entries[-1][0] < 2 or entries[-1][1] < 1:
-            raise TableFormatError(
-                f"line {lineno}: bad torsion entry {piece!r}")
+            raise ValueError("order below 2 or count below 1")
     return tuple(entries)
+
+
+def _parse_knot(text: str) -> tuple:
+    n, m = (int(x) for x in text.split(","))
+    return n, m
 
 
 def parse_table(text: str) -> ExternalTable:
@@ -65,69 +59,13 @@ def parse_table(text: str) -> ExternalTable:
     Records look like ``t=3, dd=6, rank=1`` with an optional
     ``tor=5^1,...`` field (torsion entries separated by commas after the
     tor key); ``#`` starts a comment; optional headers ``coeff=<tag>`` and
-    ``knot=<n>,<m>``.
+    ``knot=<n>,<m>``, each at most once.  Malformed text raises
+    TableFormatError.
     """
-    table = ExternalTable()
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("coeff="):
-            try:
-                table.ring = CoefficientRing.parse(line[len("coeff="):])
-            except ValueError as exc:
-                raise TableFormatError(
-                    f"line {lineno}: bad coeff header {line!r} ({exc})"
-                ) from None
-            continue
-        if line.startswith("knot="):
-            try:
-                n, m = (int(x) for x in line[len("knot="):].split(","))
-            except ValueError:
-                raise TableFormatError(
-                    f"line {lineno}: bad knot header {line!r}") from None
-            table.knot = (n, m)
-            continue
-        fields = {}
-        key = None
-        for chunk in line.split(","):
-            if "=" in chunk:
-                key, val = chunk.split("=", 1)
-                key = key.strip()
-                if key in fields:
-                    raise TableFormatError(
-                        f"line {lineno}: duplicate field {key!r}")
-                fields[key] = val.strip()
-            elif key == "tor":
-                # continuation of a comma-separated torsion list
-                fields["tor"] += "," + chunk.strip()
-            else:
-                raise TableFormatError(
-                    f"line {lineno}: stray token {chunk.strip()!r}")
-        missing = {"t", "dd", "rank"} - set(fields)
-        if missing:
-            raise TableFormatError(
-                f"line {lineno}: missing field(s) {sorted(missing)}")
-        unknown = set(fields) - {"t", "dd", "rank", "tor"}
-        if unknown:
-            raise TableFormatError(
-                f"line {lineno}: unknown field(s) {sorted(unknown)}")
-        try:
-            t = int(fields["t"])
-            dd = int(fields["dd"])
-            rank = int(fields["rank"])
-        except ValueError:
-            raise TableFormatError(
-                f"line {lineno}: non-integer entry in {line!r}") from None
-        if rank < 0:
-            raise TableFormatError(f"line {lineno}: negative rank")
-        if (t, dd) in table.cells:
-            raise TableFormatError(
-                f"line {lineno}: duplicate cell (t={t}, dd={dd})")
-        torsion = _parse_torsion(fields["tor"], lineno) \
-            if "tor" in fields else ()
-        table.cells[(t, dd)] = (rank, torsion)
-    return table
+    headers, cells, _, _ = _read_table(
+        text, {"coeff": CoefficientRing.parse, "knot": _parse_knot},
+        ("t", "dd", "rank"), _parse_torsion)
+    return ExternalTable(headers.get("knot"), headers.get("coeff"), cells)
 
 
 def _prime_power_multiset(factors, primes=None):

@@ -506,8 +506,7 @@ def stable_series(n: int, N: int) -> RationalFunction:
 
 def stable_series_reduced(n: int, N: int) -> RationalFunction:
     def out(num):
-        return rf_factored(num, *[(1, (2 * k + 2, 2 * k))
-                                  for k in range(1, n)])
+        return rf_factored(num, *_stable_den_factors(n)[1:])
     if n == 1:
         return out(ONE)
     if n == 2:

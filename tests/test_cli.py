@@ -250,13 +250,15 @@ def test_compare_missing_file(capsys):
 @pytest.mark.parametrize("model", [
     "coeff=Q\nwindow=q:0..1,t:0..1\nq=1, t\n",
     "coeff=Q\nwindow=q:0..1\n",
+    "coeff=Z\nwindow=q:0..1,t:0..1\nq=5, t=9, rank=1\n",  # off-window cell
 ])
 def test_compare_malformed_model(tmp_path, capsys, model):
+    """Each model's fault is on its last line."""
     model_path = tmp_path / "model.txt"
     model_path.write_text(model)
     code, _out, err = run(capsys, "compare", "--model", str(model_path),
                           "--data", os.path.join(DATA, "table2_T59_F3.txt"))
-    assert code == 2 and "error: line" in err
+    assert code == 2 and f"error: line {model.count(chr(10))}:" in err
 
 
 def test_usage_error_exit_code(capsys):

@@ -20,7 +20,7 @@ from koszulknots.homology import (HomologyGroup, HomologyTable,
                                   d_matrix, euler_characteristic_check,
                                   homology_at, homology_table, rank_exact,
                                   rank_mod_p, smith_normal_form,
-                                  window_bases)
+                                  TableFormatError, window_bases)
 from koszulknots.presentations import (HOMFLY, PROJECTOR_SHAPES,
                                        Presentation, apply_d,
                                        projector_presentation,
@@ -693,9 +693,13 @@ def test_serialize_parse_round_trip():
     ("coeff=Q\nwindow=q:0..1,x:0..1\n", 2),
     ("# comment\ncoeff=Q\n\n", 3),
     ("", 0),
+    ("coeff=Q\nwindow=q:0..1,t:0..1\ncoeff=Z\n", 3),
+    ("coeff=Q\nwindow=q:0..1,t:0..1\nwindow=q:0..2,t:0..1\n", 3),
+    ("coeff=Q\nwindow=q:0..1,t:0..1\nq=5, t=9, rank=1\n", 3),
+    ("q=0, t=2, rank=1\ncoeff=Q\nwindow=q:0..1,t:0..1\n", 1),
 ])
 def test_table_parse_errors_name_the_line(text, lineno):
-    with pytest.raises(ValueError, match=f"^line {lineno}:"):
+    with pytest.raises(TableFormatError, match=f"^line {lineno}:"):
         HomologyTable.parse(text)
 
 
@@ -703,10 +707,10 @@ def test_table_parse_errors_name_the_line(text, lineno):
 @given(st.lists(st.text(alphabet="qtrankorbudcefwiQZF=,;.:-0123456789 #",
                         max_size=24), max_size=5))
 def test_table_parse_fuzz(lines):
-    """Any input parses or fails with a ValueError naming a line."""
+    """Any input parses or fails with a TableFormatError naming a line."""
     text = "coeff=Q\nwindow=q:0..1,t:0..1\n" + "\n".join(lines)
     for candidate in (text, "\n".join(lines)):
         try:
             HomologyTable.parse(candidate)
-        except ValueError as exc:
+        except TableFormatError as exc:
             assert str(exc).startswith("line ")

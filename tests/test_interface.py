@@ -57,12 +57,41 @@ def test_qt_cells_expansion():
     ("coeff=F4", "bad coeff header"),
     ("coeff=Fx", "bad coeff header"),
     ("# header\ncoeff=R", "bad coeff header"),
+    ("coeff=Z\nknot=5,9\ncoeff=Z", "repeated coeff= header"),
+    ("knot=5,9\n# again\nknot=5,9", "repeated knot= header"),
 ])
 def test_parse_errors_carry_line_numbers(text, fragment):
     with pytest.raises(TableFormatError) as err:
         parse_table(text)
     assert str(err.value).startswith(f"line {text.count(chr(10)) + 1}:")
     assert fragment in str(err.value)
+
+
+FORMATS = {
+    "model": (HomologyTable.parse, "coeff=Q\nwindow=q:0..9,t:0..9\n",
+              "q", "t"),
+    "data": (parse_table, "coeff=Q\nknot=5,9\n", "t", "dd"),
+}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("record,fragment", [
+    ("{a}=1, {b}=0, rank=1, junk", "stray token 'junk'"),
+    ("{a}=1, {b}=0", "missing field(s) ['rank']"),
+    ("{a}=1, {b}=x, rank=1", "non-integer entry"),
+    ("{a}=1, {b}=0, rank=-1", "negative rank"),
+    ("{a}=1, {b}=0, rank=1, rank=2", "duplicate field 'rank'"),
+    ("{a}=1, {b}=0, rank=1\n{a}=1, {b}=0, rank=2", "duplicate cell"),
+    ("coeff=Z", "repeated coeff= header"),
+])
+def test_both_readers_share_record_rules(fmt, record, fragment):
+    """Model tables and external data reject the same faults alike."""
+    parse, headers, a, b = FORMATS[fmt]
+    text = headers + record.format(a=a, b=b)
+    with pytest.raises(TableFormatError) as err:
+        parse(text)
+    assert str(err.value).startswith(
+        f"line {text.count(chr(10)) + 1}: {fragment}")
 
 
 @settings(max_examples=300, deadline=None)
