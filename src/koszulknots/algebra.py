@@ -10,24 +10,26 @@ walk of homology's enumerator and of series' factored expansion.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
+from typing import NamedTuple
 
 
 class StructuralError(ValueError):
     """Operands from different presentations or coefficient rings."""
 
 
-@dataclass(frozen=True)
-class Degree:
+class Degree(NamedTuple):
     """Exponent triple on the (q, t, a) grading lattice."""
 
     q: int = 0
     t: int = 0
     a: int = 0
+    __mul__ = __rmul__ = None  # deg * 2 raises TypeError, not tuple repetition
 
     def __add__(self, other: "Degree") -> "Degree":
         return Degree(self.q + other.q, self.t + other.t, self.a + other.a)
@@ -44,6 +46,14 @@ class Degree:
 
     def __str__(self):
         return f"q^{self.q} t^{self.t}" + (f" a^{self.a}" if self.a else "")
+
+
+def read_int(text: str) -> int:
+    """The integer that ASCII -?[0-9]+ spells, blanks around it allowed;
+    int() alone would also read 1_0, +2 and non-ASCII digits."""
+    if not re.fullmatch(r"-?[0-9]+", text.strip()):
+        raise ValueError(f"non-integer entry {text.strip()!r}")
+    return int(text)
 
 
 ZERO_DEGREE = Degree(0, 0, 0)
@@ -222,8 +232,8 @@ class CoefficientRing:
         if tag in ("Q", "Z"):
             return cls(tag)
         if tag.startswith("F"):
-            return cls("Fp", int(tag[3:] if tag.startswith("Fp:")
-                                 else tag[1:]))
+            return cls("Fp", read_int(tag[3:] if tag.startswith("Fp:")
+                                      else tag[1:]))
         raise ValueError(f"unknown coefficient tag {tag!r}")
 
 

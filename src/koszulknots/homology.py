@@ -25,13 +25,12 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import cache
 from math import gcd
 from operator import add, mul
 
 from .algebra import (CoefficientRing, Degree, Monomial, T_STEP,
                       exponent_range, exponent_rows, grading_functional,
-                      mono_degree)
+                      mono_degree, read_int)
 from .presentations import Presentation
 
 
@@ -224,7 +223,7 @@ def window_bases(pres: Presentation, window: Window,
     """
     corners = [Degree(q, t) for q in (window.qmin, window.qmax)
                for t in (window.tmin - 1, window.tmax + 1)]
-    return {Degree(*key): GradedBasis(Degree(*key), sorted(exps))
+    return {(deg := Degree(*key)): GradedBasis(deg, sorted(exps))
             for key, exps in _search(pres, corners, reduced).items()}
 
 
@@ -237,16 +236,15 @@ def d_matrix(pres: Presentation, deg: Degree,
     t-degree down; entries are exact integers.  Every d(xi_j) is purely
     even, so d(x^e xi_S) is the sum over the l-th odd factor j of S of
     (-1)^l c x^(e+f) xi_(S-j), with c x^f running over the terms of
-    d(xi_j).  The images are compiled once per call into (c, f) pairs and
-    the rows looked up by the bases' exponent pairs.  apply_d computes the
-    same images through SuperPolynomial products, for the tests.
+    d(xi_j), as compiled once into pres.image_terms, and the rows looked up
+    by the bases' exponent pairs.  apply_d computes the same images
+    through SuperPolynomial products, for the tests.
     """
     if src is None:
         src = basis_at(pres, deg)
     if dst is None:
         dst = basis_at(pres, deg - T_STEP)
-    images = [[(c, m.even) for m, c in img.terms.items()] if img else []
-              for img in pres.d_images]
+    images = pres.image_terms
     index = {pair: r for r, pair in enumerate(dst.exps)}
     entries = {}
     for col, (even, odd) in enumerate(src.exps):
@@ -517,10 +515,7 @@ def _read_table(text: str, headers: dict, keys: tuple, torsion):
             unknown = set(fields) - set(keys) - {"tor"}
             if unknown:
                 raise ValueError(f"unknown field(s) {sorted(unknown)}")
-            try:
-                *cell, rank = (int(fields[k]) for k in keys)
-            except ValueError:
-                raise ValueError(f"non-integer entry in {line!r}") from None
+            *cell, rank = map(read_int, (fields[k] for k in keys))
             if rank < 0:
                 raise ValueError("negative rank")
             cell = tuple(cell)
@@ -545,12 +540,12 @@ def _parse_window(text: str) -> Window:
         raise ValueError("window needs q: and t: ranges")
     qlo, qhi = qpart[2:].split("..")
     tlo, thi = tpart[2:].split("..")
-    return Window(int(qlo), int(qhi), int(tlo), int(thi))
+    return Window(*map(read_int, (qlo, qhi, tlo, thi)))
 
 
 def _parse_invariant_factors(text: str) -> tuple:
     """'3;9' -> (3, 9); HomologyGroup checks the divisibility chain."""
-    return HomologyGroup(0, tuple(int(d) for d in text.split(";"))).torsion
+    return HomologyGroup(0, tuple(map(read_int, text.split(";")))).torsion
 
 
 @dataclass
@@ -610,13 +605,13 @@ def homology_table(pres: Presentation, ring: CoefficientRing, window: Window
     """Homology over the chosen ring at every degree of the window.
 
     One enumeration (window_bases) backs all degrees; each matrix of the
-    differential is assembled once and its rank, or over Z its Smith
-    form, computed once.  Over Z the free rank comes from exact ranks.
-    Torsion is attributed to the degree of the extra mod-p cycles it
-    produces: an invariant factor d > 1 of the outgoing matrix at deg
-    means a d-torsion class reported at deg (its cokernel representative
-    lives one t lower; the kernel of the outgoing map is saturated, so
-    Smith normal form decides it).
+    differential with a basis on both sides is assembled once and its
+    rank, or over Z its Smith form, computed once.  Torsion is attributed
+    to the degree of the extra mod-p cycles it produces: an invariant
+    factor d > 1 of the outgoing matrix at deg means a d-torsion class
+    reported at deg (its cokernel representative lives one t lower; the
+    kernel of the outgoing map is saturated, so Smith normal form decides
+    it).
 
     The complex is reduced first: the images that are powers +-x_k^e of
     their own degree with distinct k (taken greedily in generator order)
@@ -626,34 +621,26 @@ def homology_table(pres: Presentation, ring: CoefficientRing, window: Window
     R/(f_j) tensored with the exterior algebra on the other xi.
     """
     bases = window_bases(pres, window, reduced=True)
-
-    def basis(deg):
-        return bases.get(deg) or GradedBasis(deg, [])
-
-    def matrix(deg):
-        # not kept: each degree needs either a rank or a Smith form
-        return d_matrix(pres, deg, src=basis(deg),
-                        dst=basis(deg - T_STEP))
-
-    @cache
-    def factors(deg):
-        return smith_normal_form(matrix(deg))[0]
-
-    @cache
-    def rk(deg):
-        if ring.is_field or deg.t > window.tmax:
-            return matrix_rank(matrix(deg), ring)
-        # inside the window the Smith form also gives the torsion at deg;
-        # its factor count is the rank
-        return len(factors(deg))
-
-    groups = {}
+    # deg -> factors of the matrix out of deg: over Z inside the window its
+    # Smith factors, which give the torsion at deg, else [1] * its rank;
+    # no matrix is built when either side has no basis
+    out, groups = {}, {}
     for deg, b in bases.items():
         if deg.a or not window.contains(deg):
             continue
-        torsion = () if ring.is_field else \
-            tuple(f for f in factors(deg) if f > 1)
-        free = len(b.exps) - rk(deg) - rk(deg + T_STEP)
+        up = deg + T_STEP
+        for d in (deg, up):
+            if d in out:
+                continue
+            src, dst = bases.get(d), bases.get(d - T_STEP)
+            if src is None or dst is None:
+                out[d] = []
+            elif ring.is_field or d.t > window.tmax:
+                out[d] = [1] * matrix_rank(d_matrix(pres, d, src, dst), ring)
+            else:
+                out[d] = smith_normal_form(d_matrix(pres, d, src, dst))[0]
+        torsion = tuple(f for f in out[deg] if f > 1)
+        free = len(b.exps) - len(out[deg]) - len(out[up])
         if free or torsion:
             groups[deg] = HomologyGroup(free, torsion)
     return HomologyTable(pres.name, ring, window, groups)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import CoefficientRing
+from .algebra import CoefficientRing, read_int
 from .homology import HomologyTable, TableFormatError, _read_table
 
 
@@ -42,14 +42,14 @@ def _parse_torsion(text: str) -> tuple:
     entries = []
     for piece in filter(None, (p.strip() for p in text.split(","))):
         base, _, count = piece.partition("^")
-        entries.append((int(base), int(count) if count else 1))
+        entries.append((read_int(base), read_int(count) if count else 1))
         if entries[-1][0] < 2 or entries[-1][1] < 1:
             raise ValueError("order below 2 or count below 1")
     return tuple(entries)
 
 
 def _parse_knot(text: str) -> tuple:
-    n, m = (int(x) for x in text.split(","))
+    n, m = map(read_int, text.split(","))
     return n, m
 
 

@@ -32,6 +32,9 @@ class Presentation:
         self.odd_symbols = tuple(odd_symbols)
         self.odd_degrees = tuple(odd_degrees)
         self.d_images = tuple(d_images)
+        # each image as (c, even exponents) terms, compiled once for d_matrix
+        self.image_terms = tuple([(c, m.even) for m, c in img.terms.items()]
+                                 if img else [] for img in self.d_images)
         self.homogeneity_violations = []
         self._validate()
 

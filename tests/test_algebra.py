@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from koszulknots.algebra import (CoefficientRing, Degree, Monomial, QQ,
                                  SuperPolynomial, ZZ, grading_functional,
-                                 mono_degree, mono_mul, prime_field)
+                                 mono_degree, mono_mul, prime_field,
+                                 read_int)
 from koszulknots.presentations import stable_presentation
 
 
@@ -56,6 +57,42 @@ def test_degree_hashable_and_frozen():
         Degree(1, 2).q = 5
 
 
+def test_degree_value_semantics():
+    """Degree is a tuple underneath: its arithmetic stays in Degree, its
+    fields are read-only, a defaults to 0, and * is not tuple repetition."""
+    d = Degree(1, 2)
+    for value in (d + Degree(0, 1), d - Degree(0, 1), d.scale(2)):
+        assert type(value) is Degree
+    for name in ("q", "t", "a"):
+        with pytest.raises(AttributeError):
+            setattr(d, name, 3)
+    assert d == Degree(1, 2, 0) and hash(d) == hash(Degree(1, 2, 0))
+    assert sorted([Degree(5, 1), Degree(-3, 2), Degree(0, 1, 1)],
+                  key=Degree.key) == [Degree(0, 1, 1), Degree(5, 1),
+                                      Degree(-3, 2)]
+    assert str(d) == "q^1 t^2" and str(Degree(1, -2, 3)) == "q^1 t^-2 a^3"
+    assert repr(d) == "Degree(q=1, t=2, a=0)"
+    with pytest.raises(TypeError):
+        d * 2
+    with pytest.raises(TypeError):
+        2 * d
+
+
+@pytest.mark.parametrize("text,value", [
+    ("7", 7), ("-12", -12), (" 3 ", 3), ("007", 7), ("-0", 0)])
+def test_read_int_takes_ascii_integers(text, value):
+    assert read_int(text) == value
+
+
+@pytest.mark.parametrize("text", [
+    "1_0", "+2", "\u0661", "1\u0662", "", " ", "-", "--1", "1.0", "0x1",
+    "1 2", "- 1"])
+def test_read_int_rejects_other_spellings(text):
+    """int() alone reads 1_0, +2 and non-ASCII digits; table text may not."""
+    with pytest.raises(ValueError, match="non-integer entry"):
+        read_int(text)
+
+
 # ---------------------------------------------------------------------------
 # coefficient rings
 
@@ -88,7 +125,8 @@ def test_ring_parse_inverts_str(ring):
         assert CoefficientRing.parse(f"Fp:{ring.p}") == ring
 
 
-@pytest.mark.parametrize("tag", ["F4", "Fx", "R", "", "Fp:", "q"])
+@pytest.mark.parametrize("tag", ["F4", "Fx", "R", "", "Fp:", "q", "F+3",
+                                 "Fp:1_1", "F\u0663"])
 def test_ring_parse_rejects_bad_tags(tag):
     with pytest.raises(ValueError):
         CoefficientRing.parse(tag)

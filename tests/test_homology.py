@@ -342,6 +342,9 @@ def test_hook_window_stays_in_exponent_pairs(monkeypatch):
     assert built == [0]
     [found] = bases
     assert sum(len(b.exps) for b in found.values()) == 4494
+    # 782 matrices leave the window's nonempty degrees and their neighbours
+    # one t-step up; the 30 with no basis on one side are never built
+    assert len(nnz) == 752
     assert sum(nnz) == 2858
     assert all(e[0] < 3 and 0 not in o
                for b in found.values() for e, o in b.exps)
@@ -630,6 +633,10 @@ def _quotient_edge_cases():
     yield projector_presentation("[12,3]", 0), []
     # the displayed xi0 image x0^(N-1) is a unit of the wrong degree
     yield projector_presentation("[13,2]", 3, "displayed"), []
+    # d(e0) = x is divided out, d(e1) = 2 y stays and d(e2) = 0: every
+    # y^k e2 has no basis one t-step down, but y^k e1 e2 maps onto it
+    yield _two_variables("empty-below", [{(1, 0): 1}, {(0, 1): 2}, {}],
+                         (Degree(2, 1), Degree(2, 3), Degree(1, 1))), [0]
 
 
 def _exps(bases):
@@ -651,6 +658,10 @@ def test_quotient_edge_cases(pres, taken):
         assert _exps(reduced) == _exps(window_bases(pres, window))
     if pres.name in ("projector([1,2,3],d2)", "one"):
         assert homology_table(pres, ZZ, window).groups == {}
+    if pres.name == "empty-below":
+        assert Degree(3, 3) in reduced and Degree(3, 2) not in reduced
+        assert homology_table(pres, ZZ, window).groups[Degree(3, 4)] \
+            == HomologyGroup(0, (2,))
 
 
 def test_quotient_keeps_the_non_proper_grading_witness():
@@ -697,6 +708,13 @@ def test_serialize_parse_round_trip():
     ("coeff=Q\nwindow=q:0..1,t:0..1\nwindow=q:0..2,t:0..1\n", 3),
     ("coeff=Q\nwindow=q:0..1,t:0..1\nq=5, t=9, rank=1\n", 3),
     ("q=0, t=2, rank=1\ncoeff=Q\nwindow=q:0..1,t:0..1\n", 1),
+    # int() would read these as q=10, t=2, rank=1
+    ("coeff=Q\nwindow=q:0..1,t:0..1\nq=1_0, t=+2, rank=\u0661\n", 3),
+    ("coeff=Q\nwindow=q:0..1,t:0..1\nq=1, t=0, rank=+1\n", 3),
+    ("coeff=Q\nwindow=q:0..1_0,t:0..1\n", 2),
+    ("coeff=Q\nwindow=q:0..1,t:+0..\u0661\n", 2),
+    ("coeff=Z\nwindow=q:0..1,t:0..1\nq=1, t=0, rank=0, tor=3;+9\n", 3),
+    ("coeff=F\u0663\n", 1),
 ])
 def test_table_parse_errors_name_the_line(text, lineno):
     with pytest.raises(TableFormatError, match=f"^line {lineno}:"):

@@ -59,6 +59,15 @@ def test_qt_cells_expansion():
     ("# header\ncoeff=R", "bad coeff header"),
     ("coeff=Z\nknot=5,9\ncoeff=Z", "repeated coeff= header"),
     ("knot=5,9\n# again\nknot=5,9", "repeated knot= header"),
+    ("t=1_0, dd=0, rank=1", "non-integer entry '1_0'"),
+    ("t=0, dd=0, rank=+2", "non-integer entry '+2'"),
+    ("t=0, dd=\u0664, rank=1", "non-integer entry"),
+    ("knot=5,\u0669", "bad knot header"),
+    ("knot=+5,9", "bad knot header"),
+    ("t=0, dd=0, rank=1, tor=5^+1", "bad torsion"),
+    ("t=0, dd=0, rank=1, tor=1_1", "bad torsion"),
+    ("coeff=Z\nt=0, dd=0, rank=1, tor=\u0665", "bad torsion"),
+    ("coeff=F+3", "bad coeff header"),
 ])
 def test_parse_errors_carry_line_numbers(text, fragment):
     with pytest.raises(TableFormatError) as err:
