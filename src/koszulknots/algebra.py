@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
@@ -207,20 +206,20 @@ class CoefficientRing:
         return self.kind != "Z"
 
     def normalize(self, c):
-        """Map an int/Fraction into canonical form; 0 means drop the term."""
+        """Map an int or a rational (read through .numerator and
+        .denominator) into canonical form; 0 means drop the term."""
         if self.kind == "Q":
-            return Fraction(c)
+            return c
+        num, den = c.numerator, c.denominator
         if self.kind == "Fp":
-            if isinstance(c, Fraction):
-                if c.denominator % self.p == 0:
-                    raise ZeroDivisionError("denominator not invertible mod p")
-                return c.numerator * pow(c.denominator, -1, self.p) % self.p
-            return c % self.p
-        if isinstance(c, Fraction):
-            if c.denominator != 1:
-                raise ValueError(f"{c} is not an integer")
-            return c.numerator
-        return c
+            if den == 1:
+                return num % self.p
+            if den % self.p == 0:
+                raise ZeroDivisionError("denominator not invertible mod p")
+            return num * pow(den, -1, self.p) % self.p
+        if den != 1:
+            raise ValueError(f"{c} is not an integer")
+        return num
 
     def __str__(self):
         return {"Q": "Q", "Z": "Z"}.get(self.kind, f"F{self.p}")

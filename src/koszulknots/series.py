@@ -1,13 +1,13 @@
 """Exact rational functions in q, t, a and the closed-form series catalogue.
 
-Rational functions are plain numerator/denominator pairs over Laurent
-polynomials with integer coefficients; equality is decided by
-cross-multiplication.  The catalogue collects every closed-form Poincare
-series used by the package, plus the torus-knot assemblies built from
-projector series, whose HOMFLY and d0 forms and denominators follow from
-the projector generator table of presentations, and which exact division
-certifies binomial by binomial.  A factored expansion walks its factors
-as homology's enumerator walks generators, pruned by algebra.exponent_rows.
+A rational function is a numerator over a product of binomials
+1 - c q^i t^j a^k, kept as a factor list through +, -, * and
+a-substitution; equality is decided by cross-multiplication.  expand walks
+the factors as homology's enumerator walks generators, pruned by
+algebra.exponent_rows.  The catalogue holds every closed-form Poincare
+series of the package and the torus-knot assemblies of projector series,
+whose denominators follow from the projector generator table of
+presentations and which exact division certifies binomial by binomial.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from collections import Counter
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from .algebra import exponent_range, exponent_rows, grading_functional
+from .algebra import (_is_prime, exponent_range, exponent_rows,
+                      grading_functional)
 from .presentations import _D0_DATA, _PROJECTOR_GENS
 
 
@@ -166,11 +167,9 @@ class RationalFunction:
     """num/den; den_factors, when known, lists den as prod of (1 - c*q^i t^j a^k).
 
     Each factor is a pair (c, (i, j, k)); den None is filled in as their
-    product.  Factor lists survive multiplication and a-substitution; sums
-    drop them (expansion of a sum goes through its catalogued summands
-    instead).  The torus-knot assemblies sum their summands over the least
-    common multiple of the factor lists, not over the cross-multiplied
-    denominator that + builds.
+    product.  +, - and * concatenate the factor lists (_den_times) and
+    a-substitution substitutes them.  The torus-knot assemblies sum over the
+    least common multiple of the lists, not over the concatenation.
     """
 
     num: LaurentPoly
@@ -191,13 +190,19 @@ class RationalFunction:
     def of(cls, poly: LaurentPoly):
         return cls(poly, ONE, ())
 
+    def _den_times(self, other):
+        """(den, den_factors) of self.den * other.den, factored if both are."""
+        if self.den_factors is None or other.den_factors is None:
+            return self.den * other.den, None
+        return None, self.den_factors + other.den_factors
+
     def __add__(self, other):
         if isinstance(other, LaurentPoly):
             other = RationalFunction.of(other)
         elif not isinstance(other, RationalFunction):
             return NotImplemented
         return RationalFunction(self.num * other.den + other.num * self.den,
-                                self.den * other.den)
+                                *self._den_times(other))
 
     def __sub__(self, other):
         if isinstance(other, LaurentPoly):
@@ -205,7 +210,7 @@ class RationalFunction:
         elif not isinstance(other, RationalFunction):
             return NotImplemented
         return RationalFunction(self.num * other.den - other.num * self.den,
-                                self.den * other.den)
+                                *self._den_times(other))
 
     def __radd__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -223,23 +228,18 @@ class RationalFunction:
                                     self.den_factors)
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        factors = None
-        if self.den_factors is not None and other.den_factors is not None:
-            factors = self.den_factors + other.den_factors
-        return RationalFunction(self.num * other.num, self.den * other.den,
-                                factors)
+        return RationalFunction(self.num * other.num, *self._den_times(other))
 
     __rmul__ = __mul__
 
     def substitute_a(self, q_per_a: int = 0, t_per_a: int = 0):
-        factors = None
-        if self.den_factors is not None:
-            factors = tuple(
-                (c, (q + q_per_a * a, t + t_per_a * a, 0))
-                for c, (q, t, a) in self.den_factors)
-        return RationalFunction(self.num.substitute_a(q_per_a, t_per_a),
-                                self.den.substitute_a(q_per_a, t_per_a),
-                                factors)
+        num = self.num.substitute_a(q_per_a, t_per_a)
+        if self.den_factors is None:
+            den = self.den.substitute_a(q_per_a, t_per_a)
+            return RationalFunction(num, den)
+        return RationalFunction(num, None, tuple(
+            (c, (q + q_per_a * a, t + t_per_a * a, 0))
+            for c, (q, t, a) in self.den_factors))
 
     def equals(self, other: "RationalFunction") -> bool:
         return (self.num * other.den - other.num * self.den).is_zero()
@@ -267,6 +267,11 @@ class SeriesWindow:
     qmin: int
     qmax: int
 
+    def __post_init__(self):
+        if self.qmin > self.qmax or self.tmin > self.tmax:
+            raise ValueError(f"empty window q:{self.qmin}..{self.qmax}, "
+                             f"t:{self.tmin}..{self.tmax}")
+
     def contains(self, q, t):
         return self.qmin <= q <= self.qmax and self.tmin <= t <= self.tmax
 
@@ -274,40 +279,17 @@ class SeriesWindow:
 def expand(rf: RationalFunction, window: SeriesWindow) -> dict:
     """Coefficients of the formal expansion of rf inside the window.
 
-    When the denominator's binomial factorization is known, each factor
-    (1 - c m) expands geometrically in its own monomial m; this is the
-    region where all catalogued generators are "small" and matches the
-    graded dimensions of the corresponding algebras.  Otherwise the region
-    is fixed by the (t, then q) monomial order: num is divided by den in
-    _quotient_terms, the heap loop that exact_divide runs unless den is a
-    binomial, so den's least term must have coefficient +-1.  Returns a
-    (q, t) -> int map over the window (a-graded input is rejected).
+    Each denominator factor (1 - c m) expands geometrically in its own
+    monomial m; this is the region where all catalogued generators are
+    "small" and matches the graded dimensions of the corresponding
+    algebras.  rf needs its factor list (rf_factored, the catalogue and
+    the arithmetic built from them keep one), and the factors need a
+    common region.  Returns a (q, t) -> int map over the window (a-graded
+    input is rejected).
     """
-    if rf.den_factors is not None:
-        return _expand_factored(rf, window)
-    num, den = rf.num, rf.den
-    if num.has_a() or den.has_a():
-        raise ExpansionError("expansion requires the a-grading eliminated")
-    if num.is_zero():
-        return {}
-    m0, c0 = den.min_term()
-    if abs(c0) != 1:
-        raise ExpansionError(
-            f"leading denominator coefficient {c0} is not a unit")
-    tmax, qmax = window.tmax, window.qmax
-    # slack covers denominator terms that can still lower q before t runs out
-    neg_q = max(m0[0] - m[0] for m in den.terms)
-    out = {}
-    for (t, q, _a), c in _quotient_terms(
-            num, den, lambda t, q: q > qmax + neg_q * (tmax - t + 1)):
-        if t > tmax:
-            break
-        if window.contains(q, t):
-            out[(q, t)] = c * c0  # c / c0, as c0 = +-1
-    return out
-
-
-def _expand_factored(rf: RationalFunction, window: SeriesWindow) -> dict:
+    if rf.den_factors is None:
+        raise ExpansionError("expansion needs the denominator's binomial "
+                             "factors; build rf with rf_factored")
     if rf.num.has_a() or any(m[2] for _c, m in rf.den_factors):
         raise ExpansionError("expansion requires the a-grading eliminated")
     # lam . m >= 1 on every factor monomial; a witness weighs a lex-negative
@@ -348,44 +330,6 @@ def _expand_factored(rf: RationalFunction, window: SeriesWindow) -> dict:
             if window.contains(q, t)}
 
 
-def _quotient_terms(num: LaurentPoly, den: LaurentPoly, skip=None):
-    """The heap-ordered division loop of expand and exact_divide.
-
-    Yields ((t, q, a), c): a quotient exponent, relative to den's least
-    term m0 in the (t, q, a) order, and the remainder coefficient c there.
-    The products of the quotient coefficient c // c0 with den's other
-    terms are subtracted when the next term is asked for; skip(t, q) drops
-    a term together with everything it would add.  The least remainder key
-    is popped from a heap (Monagan-Pearce, CASC 2007).  Every other term
-    of den lies strictly above m0, so a popped key never comes back: one
-    heap entry per key suffices, and a cancelled entry stays at 0 until
-    popped.
-    """
-    m0, c0 = den.min_term()
-    q0, t0, a0 = m0
-    rem = {(t - t0, q - q0, a - a0): c for (q, t, a), c in num.terms.items()}
-    heap = list(rem)
-    heapify(heap)
-    tail = [((m[1] - t0, m[0] - q0, m[2] - a0), c)
-            for m, c in den.terms.items() if m != m0]
-    get, push = rem.get, heappush
-    while heap:
-        t, q, a = key = heappop(heap)
-        c = rem.pop(key)
-        if not c or (skip is not None and skip(t, q)):
-            continue
-        yield key, c
-        coeff = c // c0
-        for (dt, dq, da), cc in tail:
-            nxt = (t + dt, q + dq, a + da)
-            v = get(nxt)
-            if v is None:
-                rem[nxt] = -coeff * cc
-                push(heap, nxt)
-            else:
-                rem[nxt] = v - coeff * cc
-
-
 def _divide_binomial(num: LaurentPoly, den: LaurentPoly):
     """exact_divide for den = c0 x^m0 + c1 x^m1, m = m1 - m0 above 0.
 
@@ -420,9 +364,13 @@ def _divide_binomial(num: LaurentPoly, den: LaurentPoly):
 def exact_divide(num: LaurentPoly, den: LaurentPoly):
     """num/den as a LaurentPoly, or None when the division is not exact.
 
-    A two-term den takes _divide_binomial.  Any other den runs the heap loop
-    _quotient_terms, which expand shares, up to the first quotient term whose
-    coefficient c0 does not divide or whose exponent leaves the Newton box.
+    A two-term den takes _divide_binomial.  Any other den runs the heap
+    loop (Monagan-Pearce, CASC 2007): pop the least remainder key (t, q, a)
+    relative to den's least term c0 x^m0, and subtract c // c0 times den's
+    other terms.  They lie above m0, so a popped key never comes back: one
+    heap entry per key suffices, and a cancelled entry waits at 0.  The loop
+    stops at the first quotient term whose coefficient c0 does not divide
+    or whose exponent leaves the Newton box.
     """
     if den.is_zero():
         raise ZeroDivisionError("zero denominator")
@@ -430,21 +378,39 @@ def exact_divide(num: LaurentPoly, den: LaurentPoly):
         return LaurentPoly.zero()
     if len(den.terms) == 2:
         return _divide_binomial(num, den)
-    c0 = den.min_term()[1]
+    (q0, t0, a0), c0 = den.min_term()
     # Newton-polytope box: in an exact division every quotient exponent is
     # boxed coordinatewise by min(num) - max(den) and max(num) - min(den).
     lo = tuple(min(m[i] for m in num.terms)
                - max(m[i] for m in den.terms) for i in range(3))
     hi = tuple(max(m[i] for m in num.terms)
                - min(m[i] for m in den.terms) for i in range(3))
+    rem = {(t - t0, q - q0, a - a0): c for (q, t, a), c in num.terms.items()}
+    heap = list(rem)
+    heapify(heap)
+    tail = [((m[1] - t0, m[0] - q0, m[2] - a0), c)
+            for m, c in den.terms.items() if m != (q0, t0, a0)]
+    get, push = rem.get, heappush
     quo = {}
-    for (t, q, a), c in _quotient_terms(num, den):
+    while heap:
+        t, q, a = key = heappop(heap)
+        c = rem.pop(key)
+        if not c:
+            continue
         if c % c0:
             return None
         sigma = (q, t, a)
         if any(not lo[i] <= sigma[i] <= hi[i] for i in range(3)):
             return None
-        quo[sigma] = c // c0
+        quo[sigma] = coeff = c // c0
+        for (dt, dq, da), cc in tail:
+            nxt = (t + dt, q + dq, a + da)
+            v = get(nxt)
+            if v is None:
+                rem[nxt] = -coeff * cc
+                push(heap, nxt)
+            else:
+                rem[nxt] = v - coeff * cc
     return LaurentPoly(quo)
 
 
@@ -456,8 +422,14 @@ def _stable_den_factors(n: int):
     return [(1, (2 * k + 2, 2 * k)) for k in range(n)]
 
 
+def _check_N(N):
+    if not isinstance(N, int) or N < 2:
+        raise ValueError(f"d_N series need an integer N >= 2, got {N!r}")
+
+
 def stable_series(n: int, N: int) -> RationalFunction:
     """Poincare series of the rational homology of the n-strand stable model."""
+    _check_N(N)
     def out(num):
         return rf_factored(num, *_stable_den_factors(n))
     if n == 1:
@@ -505,6 +477,7 @@ def stable_series(n: int, N: int) -> RationalFunction:
 
 
 def stable_series_reduced(n: int, N: int) -> RationalFunction:
+    _check_N(N)
     def out(num):
         return rf_factored(num, *_stable_den_factors(n)[1:])
     if n == 1:
@@ -526,6 +499,8 @@ def stable_series_reduced(n: int, N: int) -> RationalFunction:
 
 def mod_N_series(n: int, N: int) -> RationalFunction:
     """Poincare series of the stable model with Z/N coefficients, N prime."""
+    if n < 1 or not isinstance(N, int) or not _is_prime(N):
+        raise ValueError(f"P_ZN needs n >= 1 and N prime, got n={n!r}, N={N}")
     num = ONE
     factors = []
     for k in range(n):
@@ -577,8 +552,8 @@ def projector_series(shape: str, N=None, variant: str = "dN",
     and the HOMFLY and d0 series come from the generator table of
     presentations.projector_presentation; reduced drops x0 and xi0.
     """
-    if variant == "dN" and (not isinstance(N, int) or N < 2):
-        raise ValueError(f"variant 'dN' needs an integer N >= 2, got {N!r}")
+    if variant == "dN":
+        _check_N(N)
     if shape not in _PROJECTOR_GENS:
         raise ValueError(f"unknown tableau shape {shape!r}")
     even_syms, evens, odd_syms, odds = _PROJECTOR_GENS[shape]
@@ -710,6 +685,7 @@ def _finish(parts, shift_q) -> Assembly:
     A factor 1 - c x^m with m below 0 in the (t, q, a) order equals the
     unit -c x^m times 1 - c x^-m (c = +-1), so factors that agree up to a
     unit are counted as one; the unit moves into the summand's numerator.
+    The sum keeps the lcm, every factor above 0, as its factor list.
     """
     summands, lcm = [], Counter()
     for weight, rf in parts:
@@ -724,16 +700,16 @@ def _finish(parts, shift_q) -> Assembly:
             factors[(c, m)] += 1
         summands.append((num, factors))
         lcm |= factors
-    binomials = lambda counts: product(ONE - qta(*m, coeff=c)
-                                       for c, m in counts.elements())
     total = LaurentPoly.zero()
     for num, factors in summands:
-        total = total + num * binomials(lcm - factors)
+        total = total + num * product(ONE - qta(*m, coeff=c)
+                                      for c, m in (lcm - factors).elements())
     quo = total
     for c, m in lcm.elements():
         if quo is not None:
             quo = exact_divide(quo, ONE - qta(*m, coeff=c))
-    return Assembly(RationalFunction(total, binomials(lcm)), shift_q, quo)
+    return Assembly(RationalFunction(total, None, tuple(lcm.elements())),
+                    shift_q, quo)
 
 
 def _torus3_parts(m: int, N, reduced: bool):

@@ -104,6 +104,20 @@ def test_ring_normalization():
     assert QQ.is_field and f5.is_field and not ZZ.is_field
 
 
+def test_ring_normalizes_rationals():
+    f5 = prime_field(5)
+    assert f5.normalize(Fraction(3, 2)) == 4  # 3 * 2^-1 = 3 * 3 mod 5
+    assert f5.normalize(Fraction(10, 5)) == 2
+    with pytest.raises(ZeroDivisionError, match="not invertible mod p"):
+        f5.normalize(Fraction(1, 5))
+    assert ZZ.normalize(Fraction(6, 3)) == 2
+    assert type(ZZ.normalize(Fraction(6, 3))) is int
+    with pytest.raises(ValueError, match="is not an integer"):
+        ZZ.normalize(Fraction(1, 2))
+    half = Fraction(1, 2)
+    assert QQ.normalize(half) is half and QQ.normalize(7) == 7
+
+
 def test_prime_field_requires_prime():
     with pytest.raises(ValueError):
         prime_field(6)

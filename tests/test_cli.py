@@ -90,6 +90,20 @@ def test_series_formula_expand(capsys):
     assert "q=4, t=2, coeff=1" in lines
 
 
+@pytest.mark.parametrize("args,message", [
+    (("--formula", "P2_dN", "--N", "homfly"), "N >= 2"),
+    (("--formula", "P1_dN", "--N", "1"), "N >= 2"),
+    (("--formula", "P_ZN", "--n", "3", "--N", "4"), "N prime"),
+    (("--formula", "P_ZN", "--n", "0", "--N", "3"), "n >= 1"),
+    (("--formula", "P2_dN", "--N", "3", "--expand", "-1"), "empty window"),
+    (("--formula", "P2_dN", "--N", "3", "--expand", "2", "--qmax", "-100"),
+     "empty window"),
+])
+def test_series_bad_parameters_exit_2(capsys, args, message):
+    code, out, err = run(capsys, "series", *args)
+    assert code == 2 and out == "" and message in err
+
+
 def test_series_unknown_formula(capsys):
     code, _out, err = run(capsys, "series", "--formula", "P_bogus")
     assert code == 2 and "error" in err

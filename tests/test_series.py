@@ -131,6 +131,9 @@ def test_rational_product_keeps_factors():
     b = rf_factored(one_plus(4, 1), (1, (4, 2)))
     prod = a * b
     assert prod.den_factors == ((1, (2, 0, 0)), (1, (4, 2, 0)))
+    sub = rf_factored(ONE, (1, (2, 0, 1)), (-1, (0, 2))).substitute_a(4, -1)
+    assert sub.den_factors == ((1, (6, -1, 0)), (-1, (0, 2, 0)))
+    assert sub.den == one_minus(6, -1) * one_plus(0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -158,26 +161,37 @@ def test_expand_pzn_cell():
     assert coeffs == {(12, 3): 1}
 
 
-@pytest.mark.parametrize("rf", [stable_series(3, 3), stable_series(5, 3),
-                                mod_N_series(3, 3)])
-def test_expand_unfactored_matches_factored(rf):
-    # without den_factors the expansion region is fixed by the (t, q) order;
-    # for these denominators it is the factored region too
+def test_expand_needs_factors():
+    # a denominator without its binomial factors has no expansion region
+    with pytest.raises(ExpansionError, match="rf_factored"):
+        expand(RationalFunction(ONE, one_minus(2)), SeriesWindow(0, 2, 0, 10))
+
+
+def _plus(a, b, sign=1):
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, 0) + sign * v
+    return {k: v for k, v in out.items() if v}
+
+
+@pytest.mark.parametrize("a,b", [(stable_series(2, 3), stable_series(3, 3)),
+                                 (mod_N_series(2, 3), mod_N_series(3, 3))])
+def test_sum_keeps_factors_and_expands_termwise(a, b):
     window = SeriesWindow(0, 12, -40, 60)
-    coeffs = expand(rf, window)
-    assert coeffs
-    assert expand(RationalFunction(rf.num, rf.den), window) == coeffs
+    ea, eb = expand(a, window), expand(b, window)
+    for total, sign in ((a + b, 1), (a - b, -1)):
+        assert total.den_factors == a.den_factors + b.den_factors
+        assert expand(total, window) == _plus(ea, eb, sign)
+    assert (ONE + a).den_factors == (a - ONE).den_factors == a.den_factors
 
 
-def test_expand_unfactored_leading_coefficient():
-    # a leading coefficient -1 negates the expansion; 2 is refused
-    window = SeriesWindow(0, 2, 0, 10)
-    plus = expand(RationalFunction(ONE, one_minus(2)), window)
-    assert plus == {(q, 0): 1 for q in range(0, 11, 2)}
-    assert expand(RationalFunction(ONE, -one_minus(2)), window) \
-        == {k: -v for k, v in plus.items()}
-    with pytest.raises(ExpansionError, match="is not a unit"):
-        expand(RationalFunction(ONE, one_minus(2) * 2), window)
+def test_sum_without_common_region():
+    # P[12] expands in q^4 t^2, P[1,2] in q^-4 t^-2: their sum has no region
+    rf = projector_series("[12]", 3) + projector_series("[1,2]", 3)
+    with pytest.raises(ExpansionError,
+                       match=r"no common expansion region.*\(-4, -2\) \+ "
+                             r"\(4, 2\)"):
+        expand(rf, SeriesWindow(-6, 6, -30, 30))
 
 
 def test_expand_rejects_mixed_orientation():
@@ -356,6 +370,24 @@ def test_formula_parameter_validation():
         formula("P2_dN", N=3, n=2)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: stable_series(2, "homfly"), lambda: stable_series(1, 1),
+    lambda: stable_series_reduced(2, 0), lambda: formula("P2_dN", N=None),
+    lambda: mod_N_series(3, 4), lambda: mod_N_series(0, 3),
+    lambda: formula("P_ZN", n=2, N="homfly"),
+    lambda: projector_series("[12]", 1)])
+def test_catalogue_parameters_checked(build):
+    with pytest.raises(ValueError, match="N >= 2|N prime"):
+        build()
+
+
+def test_series_window_rejects_inverted():
+    for args in ((0, -1, 0, 10), (0, 2, 5, 4)):
+        with pytest.raises(ValueError, match="empty window"):
+            SeriesWindow(*args)
+    assert SeriesWindow(1, 1, 3, 3).contains(3, 1)
+
+
 def test_catalogue_is_complete():
     names = list_formulas()
     assert "P2_dN" in names and "P_ZN" in names
@@ -480,7 +512,11 @@ def test_assembly_matches_cross_multiplied_sum():
         old = _cross_multiplied(parts)
         assert asm.polynomial == exact_divide(old.num, old.den)
         assert asm.rational.equals(old)
-        assert asm.rational.den_factors is None
+        factors = asm.rational.den_factors
+        assert len(factors) <= 16
+        assert all((m[1], m[0], m[2]) > (0, 0, 0) for _c, m in factors)
+        assert product(ONE - qta(*m, coeff=c) for c, m in factors) \
+            == asm.rational.den
         assert len(asm.rational.den.terms) <= 16
 
 
