@@ -17,7 +17,7 @@ from .series import (Assembly, ExpansionError, LaurentPoly, RationalFunction,
                      SeriesWindow, assemble_torus2, assemble_torus3,
                      exact_divide, expand, formula, identity_check,
                      list_formulas, mod_N_series, normalize_lowest,
-                     projector_series, qta, stable_series,
+                     projector_series, qta, rf_factored, stable_series,
                      stable_series_reduced)
 from .certify import (CertificateReport, generator_saturation_check,
                       reduced_factorization_check, torsion_certificate_tp,
@@ -40,7 +40,7 @@ __all__ = [
     "identity_check", "list_formulas", "mod_N_series", "mu",
     "normalize_lowest", "parse_table", "prime_field",
     "projector_presentation", "projector_series", "qta",
-    "reduced_factorization_check", "reduced_presentation",
+    "reduced_factorization_check", "reduced_presentation", "rf_factored",
     "smith_normal_form", "stable_presentation",
     "stable_series", "stable_series_reduced", "torsion_certificate_tp",
     "verify_named_class",

@@ -120,7 +120,29 @@ def _print_expansion(rf, tmax, qmax):
         print(f"q={q}, t={t}, coeff={coeffs[(q, t)]}")
 
 
+# each series mode and the other flags it reads
+_SERIES_MODES = {"list": (), "check_identities": (),
+                 "torus2": ("N", "reduced"), "torus3": ("N", "reduced"),
+                 "formula": ("N", "n", "expand", "qmax")}
+
+
+def _check_series_flags(args):
+    """Raise ValueError (exit 2) naming a flag that the series mode given
+    does not read; --qmax is read only with --expand."""
+    given = [f for f, v in vars(args).items()
+             if f != "command" and v is not None and v is not False]
+    mode = next((f for f in given if f in _SERIES_MODES), None)
+    for f in given if mode else ():
+        if f != mode and f not in _SERIES_MODES[mode]:
+            raise ValueError(f"--{f.replace('_', '-')} does not apply to "
+                             f"series --{mode.replace('_', '-')}")
+    if mode and args.qmax is not None and args.expand is None:
+        raise ValueError("--qmax does not apply to series --formula "
+                         "without --expand")
+
+
 def _cmd_series(args) -> int:
+    _check_series_flags(args)
     if args.list:
         for name in list_formulas():
             print(name)
@@ -172,8 +194,8 @@ def _cmd_series(args) -> int:
         params["n"] = args.n
     try:
         rf = formula(args.formula, **params)
-    except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except KeyError as exc:  # str(KeyError) quotes its message
+        print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
     if args.expand is not None:
         _print_expansion(rf, args.expand, args.qmax)

@@ -1,13 +1,14 @@
 """Exact rational functions in q, t, a and the closed-form series catalogue.
 
-A rational function is a numerator over a product of binomials
-1 - c q^i t^j a^k, kept as a factor list through +, -, * and
-a-substitution; equality is decided by cross-multiplication.  expand walks
-the factors as homology's enumerator walks generators, pruned by
-algebra.exponent_rows.  The catalogue holds every closed-form Poincare
-series of the package and the torus-knot assemblies of projector series,
-whose denominators follow from the projector generator table of
-presentations and which exact division certifies binomial by binomial.
+A rational function is a numerator over its denominator's factor list, the
+binomials 1 - c q^i t^j a^k, kept through +, -, * and a-substitution; the
+denominator polynomial is derived from the list, and identity_check decides
+equality by cross-multiplication.  expand walks the factors as homology's
+enumerator walks generators, pruned by algebra.exponent_rows.  The
+catalogue holds every closed-form Poincare series of the package and the
+torus-knot assemblies of projector series, whose denominators follow from
+the projector generator table of presentations and which exact division
+certifies binomial by binomial.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 
 from .algebra import (_is_prime, exponent_range, exponent_rows,
@@ -32,12 +34,7 @@ class LaurentPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for m, c in terms.items():
-                if c:
-                    clean[m] = c
-        self.terms = clean
+        self.terms = {m: c for m, c in terms.items() if c} if terms else {}
 
     @classmethod
     def zero(cls):
@@ -164,37 +161,30 @@ def product(factors) -> LaurentPoly:
 
 @dataclass(frozen=True)
 class RationalFunction:
-    """num/den; den_factors, when known, lists den as prod of (1 - c*q^i t^j a^k).
+    """num over den_factors, the product of the binomials (1 - c*q^i t^j a^k).
 
-    Each factor is a pair (c, (i, j, k)); den None is filled in as their
-    product.  +, - and * concatenate the factor lists (_den_times) and
+    Each factor is a pair (c, (i, j, k)); rf_factored builds one from
+    shorter exponent tuples.  den, the product multiplied out, is derived
+    on first read.  +, - and * concatenate the factor lists and
     a-substitution substitutes them.  The torus-knot assemblies sum over the
     least common multiple of the lists, not over the concatenation.
     """
 
     num: LaurentPoly
-    den: LaurentPoly | None
-    den_factors: tuple | None = None
+    den_factors: tuple
 
     def __post_init__(self):
-        check = None if self.den_factors is None else product(
-            ONE - qta(*m, coeff=c) for c, m in self.den_factors)
-        if self.den is None:
-            object.__setattr__(self, "den", check)
-        if self.den.is_zero():
+        # Z[q+-, t+-, a+-] is a domain: the product vanishes iff a factor does
+        if any(c == 1 and not any(m) for c, m in self.den_factors):
             raise ZeroDivisionError("zero denominator")
-        if check is not None and check is not self.den and check != self.den:
-            raise ValueError("den_factors do not multiply to den")
+
+    @cached_property
+    def den(self) -> LaurentPoly:
+        return product(ONE - qta(*m, coeff=c) for c, m in self.den_factors)
 
     @classmethod
     def of(cls, poly: LaurentPoly):
-        return cls(poly, ONE, ())
-
-    def _den_times(self, other):
-        """(den, den_factors) of self.den * other.den, factored if both are."""
-        if self.den_factors is None or other.den_factors is None:
-            return self.den * other.den, None
-        return None, self.den_factors + other.den_factors
+        return cls(poly, ())
 
     def __add__(self, other):
         if isinstance(other, LaurentPoly):
@@ -202,15 +192,10 @@ class RationalFunction:
         elif not isinstance(other, RationalFunction):
             return NotImplemented
         return RationalFunction(self.num * other.den + other.num * self.den,
-                                *self._den_times(other))
+                                self.den_factors + other.den_factors)
 
     def __sub__(self, other):
-        if isinstance(other, LaurentPoly):
-            other = RationalFunction.of(other)
-        elif not isinstance(other, RationalFunction):
-            return NotImplemented
-        return RationalFunction(self.num * other.den - other.num * self.den,
-                                *self._den_times(other))
+        return self + -1 * other
 
     def __radd__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -224,25 +209,19 @@ class RationalFunction:
 
     def __mul__(self, other):
         if isinstance(other, (LaurentPoly, int)):
-            return RationalFunction(self.num * other, self.den,
-                                    self.den_factors)
+            return RationalFunction(self.num * other, self.den_factors)
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        return RationalFunction(self.num * other.num, *self._den_times(other))
+        return RationalFunction(self.num * other.num,
+                                self.den_factors + other.den_factors)
 
     __rmul__ = __mul__
 
     def substitute_a(self, q_per_a: int = 0, t_per_a: int = 0):
-        num = self.num.substitute_a(q_per_a, t_per_a)
-        if self.den_factors is None:
-            den = self.den.substitute_a(q_per_a, t_per_a)
-            return RationalFunction(num, den)
-        return RationalFunction(num, None, tuple(
-            (c, (q + q_per_a * a, t + t_per_a * a, 0))
-            for c, (q, t, a) in self.den_factors))
-
-    def equals(self, other: "RationalFunction") -> bool:
-        return (self.num * other.den - other.num * self.den).is_zero()
+        return RationalFunction(
+            self.num.substitute_a(q_per_a, t_per_a),
+            tuple((c, (q + q_per_a * a, t + t_per_a * a, 0))
+                  for c, (q, t, a) in self.den_factors))
 
     def __str__(self):
         return f"({self.num}) / ({self.den})"
@@ -251,13 +230,13 @@ class RationalFunction:
 def rf_factored(num: LaurentPoly, *factors) -> RationalFunction:
     """Rational function with denominator prod over (c, (q, t[, a])) of
     (1 - c * q^. t^. a^.)."""
-    return RationalFunction(num, None, tuple(
+    return RationalFunction(num, tuple(
         (c, (m + (0,) * (3 - len(m)))) for c, m in factors))
 
 
 def identity_check(lhs: RationalFunction, rhs: RationalFunction) -> bool:
-    """True iff the cross-multiplied difference vanishes exactly."""
-    return lhs.equals(rhs)
+    """True iff lhs = rhs: the cross-multiplied difference vanishes exactly."""
+    return (lhs.num * rhs.den - rhs.num * lhs.den).is_zero()
 
 
 @dataclass(frozen=True)
@@ -282,14 +261,9 @@ def expand(rf: RationalFunction, window: SeriesWindow) -> dict:
     Each denominator factor (1 - c m) expands geometrically in its own
     monomial m; this is the region where all catalogued generators are
     "small" and matches the graded dimensions of the corresponding
-    algebras.  rf needs its factor list (rf_factored, the catalogue and
-    the arithmetic built from them keep one), and the factors need a
-    common region.  Returns a (q, t) -> int map over the window (a-graded
-    input is rejected).
+    algebras.  The factors need a common region.  Returns a (q, t) -> int
+    map over the window (a-graded input is rejected).
     """
-    if rf.den_factors is None:
-        raise ExpansionError("expansion needs the denominator's binomial "
-                             "factors; build rf with rf_factored")
     if rf.num.has_a() or any(m[2] for _c, m in rf.den_factors):
         raise ExpansionError("expansion requires the a-grading eliminated")
     # lam . m >= 1 on every factor monomial; a witness weighs a lex-negative
@@ -708,7 +682,7 @@ def _finish(parts, shift_q) -> Assembly:
     for c, m in lcm.elements():
         if quo is not None:
             quo = exact_divide(quo, ONE - qta(*m, coeff=c))
-    return Assembly(RationalFunction(total, None, tuple(lcm.elements())),
+    return Assembly(RationalFunction(total, tuple(lcm.elements())),
                     shift_q, quo)
 
 
@@ -735,7 +709,7 @@ def _torus3_parts(m: int, N, reduced: bool):
                             (1, (2 * N - 2, 0)), (1, (-6, -2)))
         p["[1,2,3]"] = anti2 * ratio
         p["[13,2]"] = anti2 * RationalFunction(ratio.den - ratio.num,
-                                               ratio.den, ratio.den_factors)
+                                               ratio.den_factors)
     if r == 1:
         weights = (ONE, qta(6 * k, 4 * k), qta(6 * k, 4 * k),
                    qta(12 * k, 6 * k))

@@ -98,6 +98,14 @@ def test_series_formula_expand(capsys):
     (("--formula", "P2_dN", "--N", "3", "--expand", "-1"), "empty window"),
     (("--formula", "P2_dN", "--N", "3", "--expand", "2", "--qmax", "-100"),
      "empty window"),
+    (("--torus3", "4", "--N", "3", "--expand", "3"),
+     "--expand does not apply"),
+    (("--formula", "P2_dN", "--N", "3", "--qmax", "10"),
+     "--qmax does not apply"),
+    (("--formula", "P2_dN", "--N", "3", "--reduced"),
+     "--reduced does not apply"),
+    (("--torus2", "3", "--N", "3", "--n", "4"), "--n does not apply"),
+    (("--formula", "P2_dN", "--N", "3", "--list"), "--list does not apply"),
 ])
 def test_series_bad_parameters_exit_2(capsys, args, message):
     code, out, err = run(capsys, "series", *args)
@@ -106,7 +114,8 @@ def test_series_bad_parameters_exit_2(capsys, args, message):
 
 def test_series_unknown_formula(capsys):
     code, _out, err = run(capsys, "series", "--formula", "P_bogus")
-    assert code == 2 and "error" in err
+    assert code == 2
+    assert err == "error: unknown formula 'P_bogus'; see list_formulas()\n"
 
 
 def test_series_check_identities(capsys):
