@@ -212,16 +212,13 @@ def _cmd_certify(args) -> int:
             p, N, check_homology=not args.skip_homology)
     elif name in ("A", "B"):
         report = certify.verify_named_class(name)
-    elif name.startswith("reduced:"):
-        n, N = (int(x) for x in name[len("reduced:"):].split(","))
+    elif name.startswith(("reduced:", "generators:")):
+        kind, _, pair = name.partition(":")
+        n, N = (int(x) for x in pair.split(","))
         qmax = args.qmax if args.qmax is not None else 4 * args.tmax + 16
-        report = certify.reduced_factorization_check(
-            n, N, Window(0, qmax, 0, args.tmax))
-    elif name.startswith("generators:"):
-        n, N = (int(x) for x in name[len("generators:"):].split(","))
-        qmax = args.qmax if args.qmax is not None else 4 * args.tmax + 16
-        report = certify.generator_saturation_check(
-            n, N, Window(0, qmax, 0, args.tmax))
+        check = (certify.reduced_factorization_check if kind == "reduced"
+                 else certify.generator_saturation_check)
+        report = check(n, N, Window(0, qmax, 0, args.tmax))
     else:
         print(f"error: unknown certificate {name!r}", file=sys.stderr)
         return 2

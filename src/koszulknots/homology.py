@@ -7,24 +7,24 @@ functional positive on every even generator degree, from the exact
 decision algebra.grading_functional, so every graded piece is whole and
 every table exact; when no such functional exists the graded pieces are
 infinite, and the error names the exact witness, a product of even
-generators of degree zero.  The walk yields (even, odd)
-exponent pairs, and GradedBasis builds Monomials only when read; d_matrix
-assembles exact integer matrices on the pairs from images compiled into
-exponent tuples; apply_d is the term-by-term reference the tests check it
-against.  One elimination kernel gives the ranks: it pivots on every
-nonzero entry over Q (fraction-free) and F_p, and on +-1 over Z, where
-the general Smith loop gives the torsion of what remains.  homology_table
-is the one homology path: one enumeration, one rank or Smith form per
-matrix, a loop over the nonempty degrees, all on the complex's quotient
-by its regular sequence of unit powers of distinct variables;
-homology_at is homology_table on a one-degree window.
+generators of degree zero.  The walk yields (even, odd) exponent pairs,
+and GradedBasis builds Monomials only when read; d_matrix assembles exact
+integer matrices on the pairs from images compiled into exponent tuples;
+apply_d is the term-by-term reference the tests check it against.  One
+row echelon loop gives the ranks over Q (fraction-free) and F_p; over Z
+the elimination of the +-1 pivots feeds the general Smith loop.
+homology_table is the one homology path: one enumeration, one pass that
+takes each matrix's rank or Smith form once and one that forms the
+groups, on the complex's quotient by its regular sequence of unit powers
+of distinct variables; homology_at is homology_table on a one-degree
+window.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from math import gcd
 from operator import add, mul
 
@@ -54,9 +54,8 @@ class Window:
                              f"t:{self.tmin}..{self.tmax}")
 
     def degrees(self):
-        for t in range(self.tmin, self.tmax + 1):
-            for q in range(self.qmin, self.qmax + 1):
-                yield Degree(q, t)
+        return (Degree(q, t) for t in range(self.tmin, self.tmax + 1)
+                for q in range(self.qmin, self.qmax + 1))
 
     def contains(self, deg: Degree) -> bool:
         return (self.qmin <= deg.q <= self.qmax
@@ -93,19 +92,14 @@ class HomologyGroup:
     def __post_init__(self):
         if self.free_rank < 0:
             raise ValueError(f"negative free rank {self.free_rank}")
-        if any(d < 2 for d in self.torsion) or any(
-                b % a for a, b in zip(self.torsion, self.torsion[1:])):
+        if self.torsion and (any(d < 2 for d in self.torsion) or any(
+                b % a for a, b in zip(self.torsion, self.torsion[1:]))):
             raise ValueError(f"invariant factors {self.torsion} are not a "
                              "divisibility chain of integers > 1")
 
-    def is_trivial(self):
-        return self.free_rank == 0 and not self.torsion
-
     def __str__(self):
-        if self.is_trivial():
-            return "0"
         parts = ["Z"] * self.free_rank + [f"Z/{d}" for d in self.torsion]
-        return " + ".join(parts)
+        return " + ".join(parts) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -264,20 +258,16 @@ def d_matrix(pres: Presentation, deg: Degree,
 # exact linear algebra
 
 
-def _eliminate_units(mat: IntegerMatrix, p: int | None = None):
-    """Remove unit pivots; p is None for Z, 0 for Q, or a prime for F_p.
+def _eliminate_units(mat: IntegerMatrix):
+    """Remove the +-1 pivots of an integer matrix.
 
-    Units are +-1 over Z and every nonzero entry over Q and F_p (entries
-    are reduced mod p; zeros are dropped).  A unit's column is cleared by
-    row operations and then its row by column operations that touch no
-    other row: the rank drops by one, and over Z the Smith form loses a
-    factor 1.  Over Q a row with f under the pivot u becomes (u/g) row -
-    (f/g) pivot row, g = gcd(u, f), divided by the gcd of its entries so
-    they stay small.  Each sweep visits, in order, the columns that gained
-    a unit since the last one and takes the unit of the shortest row,
-    until none is left; over Q and F_p one sweep empties the matrix.  The
-    elimination step of Dumas, Saunders and Villard (J. Symbolic Comput.
-    32, 2001).  Returns the pivot count and the remainder, row -> {col: v}.
+    A unit's column is cleared by row operations and then its row by
+    column operations that touch no other row: the rank drops by one, and
+    the Smith form loses a factor 1.  Each sweep visits, in order, the
+    columns that gained a unit since the last one and takes the unit of
+    the shortest row, until none is left.  The elimination step of Dumas,
+    Saunders and Villard (J. Symbolic Comput. 32, 2001).  Returns the
+    pivot count and the remainder, row -> {col: v}, for _smith.
     """
     rows = defaultdict(dict)
     # col -> rows that held it, in order; a row that left or whose entry
@@ -285,25 +275,22 @@ def _eliminate_units(mat: IntegerMatrix, p: int | None = None):
     cols = defaultdict(dict)
     fresh = set()
     for (r, c), v in mat.entries.items():
-        if p:
-            v %= p
         if v:
             rows[r][c] = v
             cols[c][r] = None
-            if p is not None or v in (1, -1):
+            if v in (1, -1):
                 fresh.add(c)
     pivots = 0
     while fresh:
         sweep, fresh = sorted(fresh), set()
         for c in sweep:
-            top = None
-            live = []
+            top, live = None, []
             for r in cols.get(c, ()):
                 row = rows.get(r)
                 if row is None or c not in row:
                     continue
                 live.append(r)
-                if (p is not None or row[c] in (1, -1)) and (
+                if row[c] in (1, -1) and (
                         top is None or len(row) < len(rows[top])):
                     top = r
             if top is None:
@@ -312,35 +299,59 @@ def _eliminate_units(mat: IntegerMatrix, p: int | None = None):
             pivots += 1
             prow = rows.pop(top)
             unit = prow.pop(c)
-            inv = 1 if p == 0 else pow(unit, -1, p) if p else unit
+            live.remove(top)
             for r in live:
-                if r == top:
-                    continue
                 row = rows[r]
-                f = row.pop(c) * inv
-                if p == 0:
-                    g = gcd(unit, f)
-                    f, scale = f // g, unit // g
-                    for cc in row:
-                        row[cc] *= scale
+                f = row.pop(c) * unit
                 for cc, v in prow.items():
                     old = row.get(cc)
                     nv = (old or 0) - f * v
-                    if p:
-                        nv %= p
                     if nv:
                         row[cc] = nv
                         if old is None:
                             cols[cc][r] = None
-                        if p is None and nv in (1, -1):
+                        if nv in (1, -1):
                             fresh.add(cc)
                     else:
                         del row[cc]
-                if p == 0:
-                    g = gcd(*row.values())
-                    for cc in row:
-                        row[cc] //= g
     return pivots, {r: row for r, row in rows.items() if row}
+
+
+def _echelon(mat: IntegerMatrix, p: int = 0) -> dict:
+    """Row echelon form over F_p, or over Q for p = 0: lead col -> row.
+
+    The rows are taken shortest first, and each is reduced against the
+    pivot row of its leading column until it leads a column without one or
+    vanishes: with f under the pivot u and g = gcd(u, f) it becomes (u/g)
+    row - (f/g) pivot row, its entries taken mod p or over Q divided by
+    their gcd, so every nonzero entry is a pivot and entries stay small.
+    """
+    rows = defaultdict(dict)
+    for (r, c), v in mat.entries.items():
+        if p:
+            v %= p
+        if v:
+            rows[r][c] = v
+    pivots = {}
+    for row in sorted(rows.values(), key=len):
+        while row:
+            c = min(row)
+            if (prow := pivots.setdefault(c, row)) is row:
+                break
+            g = gcd(prow[c], row[c])
+            a, b = prow[c] // g, row[c] // g
+            if a != 1:
+                row = {cc: a * v for cc, v in row.items()}
+            for cc, v in prow.items():
+                if nv := row.get(cc, 0) - b * v:
+                    row[cc] = nv
+                else:
+                    del row[cc]
+            if p:
+                row = {cc: w for cc, v in row.items() if (w := v % p)}
+            elif (g := gcd(*row.values())) > 1:
+                row = {cc: v // g for cc, v in row.items()}
+    return pivots
 
 
 def _smith(rows: dict, shape=None):
@@ -425,13 +436,13 @@ def _smith(rows: dict, shape=None):
 
 
 def rank_mod_p(mat: IntegerMatrix, p: int) -> int:
-    """Rank over F_p, where every nonzero entry is a unit pivot."""
-    return _eliminate_units(mat, p)[0]
+    """Rank over F_p: the pivots of the row echelon form mod p."""
+    return len(_echelon(mat, p))
 
 
 def rank_exact(mat: IntegerMatrix) -> int:
-    """Rank over Q (equivalently over Z): every nonzero entry is a pivot."""
-    return _eliminate_units(mat, 0)[0]
+    """Rank over Q (equivalently over Z): the fraction-free echelon pivots."""
+    return len(_echelon(mat))
 
 
 def matrix_rank(mat: IntegerMatrix, ring: CoefficientRing) -> int:
@@ -561,9 +572,6 @@ class HomologyTable:
         g = self.groups.get(deg)
         return g.free_rank if g else 0
 
-    def sorted_items(self):
-        return sorted(self.groups.items(), key=lambda kv: kv[0].key())
-
     def serialize(self) -> str:
         lines = [
             "# koszulknots homology table",
@@ -572,7 +580,8 @@ class HomologyTable:
             f"window=q:{self.window.qmin}..{self.window.qmax},"
             f"t:{self.window.tmin}..{self.window.tmax}",
         ]
-        for deg, g in self.sorted_items():
+        for deg, g in sorted(self.groups.items(),
+                             key=lambda kv: kv[0].key()):
             line = f"q={deg.q}, t={deg.t}, rank={g.free_rank}"
             if g.torsion:
                 line += ", tor=" + ";".join(str(d) for d in g.torsion)
@@ -604,14 +613,12 @@ def homology_table(pres: Presentation, ring: CoefficientRing, window: Window
                    ) -> HomologyTable:
     """Homology over the chosen ring at every degree of the window.
 
-    One enumeration (window_bases) backs all degrees; each matrix of the
-    differential with a basis on both sides is assembled once and its
-    rank, or over Z its Smith form, computed once.  Torsion is attributed
-    to the degree of the extra mod-p cycles it produces: an invariant
-    factor d > 1 of the outgoing matrix at deg means a d-torsion class
-    reported at deg (its cokernel representative lives one t lower; the
-    kernel of the outgoing map is saturated, so Smith normal form decides
-    it).
+    One enumeration (window_bases) backs all degrees.  A first pass takes
+    the rank, or over Z inside the window the Smith form, of each matrix
+    with a basis on both sides, once; a second forms the groups.  An
+    invariant factor d > 1 of the matrix out of deg is a d-torsion class
+    reported at deg, the degree of the extra mod-p cycles it produces (its
+    cokernel representative lives one t lower).
 
     The complex is reduced first: the images that are powers +-x_k^e of
     their own degree with distinct k (taken greedily in generator order)
@@ -621,26 +628,28 @@ def homology_table(pres: Presentation, ring: CoefficientRing, window: Window
     R/(f_j) tensored with the exterior algebra on the other xi.
     """
     bases = window_bases(pres, window, reduced=True)
-    # deg -> factors of the matrix out of deg: over Z inside the window its
-    # Smith factors, which give the torsion at deg, else [1] * its rank;
-    # no matrix is built when either side has no basis
-    out, groups = {}, {}
-    for deg, b in bases.items():
-        if deg.a or not window.contains(deg):
+    qmin, qmax, tmin, tmax = astuple(window)
+    # (q, t) -> (rank, torsion) of the matrix out of (q, t), torsion over Z
+    # inside the window only; a plain (q, t, 0) finds its Degree in bases
+    out = {}
+    for deg, src in bases.items():
+        q, t, a = deg
+        if (a or not (qmin <= q <= qmax and tmin <= t <= tmax + 1)
+                or (dst := bases.get((q, t - 1, 0))) is None):
             continue
-        up = deg + T_STEP
-        for d in (deg, up):
-            if d in out:
-                continue
-            src, dst = bases.get(d), bases.get(d - T_STEP)
-            if src is None or dst is None:
-                out[d] = []
-            elif ring.is_field or d.t > window.tmax:
-                out[d] = [1] * matrix_rank(d_matrix(pres, d, src, dst), ring)
-            else:
-                out[d] = smith_normal_form(d_matrix(pres, d, src, dst))[0]
-        torsion = tuple(f for f in out[deg] if f > 1)
-        free = len(b.exps) - len(out[deg]) - len(out[up])
+        mat = d_matrix(pres, deg, src, dst)
+        if ring.is_field or t > tmax:
+            out[q, t] = matrix_rank(mat, ring), ()
+        else:
+            factors = smith_normal_form(mat)[0]
+            out[q, t] = len(factors), tuple(f for f in factors if f > 1)
+    groups = {}
+    for deg, b in bases.items():
+        q, t, a = deg
+        if a or not (qmin <= q <= qmax and tmin <= t <= tmax):
+            continue
+        rank, torsion = out.get((q, t), (0, ()))
+        free = len(b.exps) - rank - out.get((q, t + 1), (0,))[0]
         if free or torsion:
             groups[deg] = HomologyGroup(free, torsion)
     return HomologyTable(pres.name, ring, window, groups)
@@ -662,8 +671,7 @@ def homology_at(pres: Presentation, deg: Degree, ring: CoefficientRing
 def euler_characteristic_check(pres: Presentation, ring: CoefficientRing,
                                window: Window, q: int) -> bool:
     """Alternating sums of chain dims and homology ranks agree at fixed q."""
-    chain = 0
-    hom = 0
+    chain = hom = 0
     column = window_bases(pres, Window(q, q, window.tmin, window.tmax))
     table = homology_table(pres, ring, window)
     for t in range(window.tmin, window.tmax + 1):

@@ -28,13 +28,9 @@ class ExternalTable:
 
     def qt_cells(self):
         """Cells re-keyed by (q, t) with q = ddagger + 2t, torsion expanded."""
-        out = {}
-        for (t, dd), (rank, torsion) in self.cells.items():
-            expanded = []
-            for power, count in torsion:
-                expanded.extend([power] * count)
-            out[(dd + 2 * t, t)] = (rank, tuple(sorted(expanded)))
-        return out
+        return {(dd + 2 * t, t): (rank, tuple(sorted(
+                    power for power, count in torsion for _ in range(count))))
+                for (t, dd), (rank, torsion) in self.cells.items()}
 
 
 def _parse_torsion(text: str) -> tuple:
@@ -70,22 +66,21 @@ def parse_table(text: str) -> ExternalTable:
 
 def _prime_power_multiset(factors, primes=None):
     """Cyclic orders -> sorted prime-power list, optionally filtered."""
+    if not factors:
+        return ()
     out = []
-    for f in factors:
+    for rest in factors:
         d = 2
-        rest = f
-        while d * d <= rest:
-            if rest % d == 0:
-                power = 1
-                while rest % d == 0:
-                    rest //= d
-                    power *= d
-                out.append((d, power))
+        while rest > 1:
+            d = d if d * d <= rest else rest
+            power = 1
+            while rest % d == 0:
+                rest //= d
+                power *= d
+            if power > 1 and (primes is None or d in primes):
+                out.append(power)
             d += 1
-        if rest > 1:
-            out.append((rest, rest))
-    return tuple(sorted(pw for p, pw in out
-                        if primes is None or p in primes))
+    return tuple(sorted(out))
 
 
 @dataclass

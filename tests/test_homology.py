@@ -1,5 +1,6 @@
 """Homology engine: bases, matrices, Smith normal form, tables."""
 
+import hashlib
 import itertools
 import os
 import random
@@ -138,10 +139,53 @@ def test_ranks_match_dense_elimination(mat):
 @given(int_matrices(12, st.sampled_from([0, 2, -2, 3, -3, 6, 9])))
 def test_rank_over_q_without_unit_entries(mat):
     """No entry is a unit over Z, and every nonzero entry is a pivot over
-    Q: one fraction-free sweep empties the matrix."""
-    pivots, rest = homology._eliminate_units(mat, 0)
-    assert rest == {}
-    assert pivots == rank_exact(mat) == dense_rank(mat)
+    Q: the fraction-free row echelon form leaves nothing over."""
+    pivots = homology._echelon(mat)
+    assert len(pivots) == rank_exact(mat) == dense_rank(mat)
+    # each pivot row leads at its own column, and every row of mat
+    # reduces to zero against the pivot rows
+    assert all(min(row) == c for c, row in pivots.items())
+    for r in range(mat.rows):
+        rest = {c: Fraction(v) for (rr, c), v in mat.entries.items()
+                if rr == r and v}
+        for c in sorted(pivots):
+            if c in rest:
+                k = rest[c] / pivots[c][c]
+                for cc, v in pivots[c].items():
+                    rest[cc] = rest.get(cc, 0) - k * v
+                rest = {cc: v for cc, v in rest.items() if v}
+        assert rest == {}
+
+
+def _recorded_matrices(monkeypatch, pres, ring, window):
+    """Every d_matrix that homology_table builds for this table."""
+    mats, build = [], homology.d_matrix
+
+    def record(*args, **kw):
+        mats.append(build(*args, **kw))
+        return mats[-1]
+
+    monkeypatch.setattr(homology, "d_matrix", record)
+    homology_table(pres, ring, window)
+    monkeypatch.setattr(homology, "d_matrix", build)
+    return mats
+
+
+def test_field_ranks_match_smith_factors_on_table_matrices(monkeypatch):
+    """On the matrices of the hook_Q and T(5,9) tables, the row echelon
+    rank over Q is the number of Smith factors over Z, and the rank mod p
+    the number of Smith factors that p does not divide."""
+    mats = _recorded_matrices(monkeypatch,
+                              projector_presentation("[12,3]", 3), QQ,
+                              Window(-60, 60, -12, 12))
+    assert len(mats) == 752
+    mats += _recorded_matrices(monkeypatch, stable_presentation(5, 3), ZZ,
+                               Window(0, 72, 0, 26))
+    for mat in mats:
+        factors = smith_normal_form(mat)[0]
+        assert rank_exact(mat) == len(factors)
+        for p in (2, 3, 5):
+            assert rank_mod_p(mat, p) == sum(1 for f in factors if f % p)
 
 
 def test_rank_over_q_never_runs_the_smith_loop(monkeypatch):
@@ -190,7 +234,8 @@ def test_snf_known_example():
 
 
 def test_homology_group_rejects_broken_divisibility_chain():
-    for torsion in ((3, 2), (1, 2), (0, 3)):
+    # single factors leave the chain check nothing to pair
+    for torsion in ((3, 2), (1, 2), (0, 3), (1,), (0,), (2, 3)):
         with pytest.raises(ValueError):
             HomologyGroup(0, torsion)
     with pytest.raises(ValueError, match="negative free rank"):
@@ -199,7 +244,8 @@ def test_homology_group_rejects_broken_divisibility_chain():
     # the checks are exceptions, so they survive python -O
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     code = ("from koszulknots.homology import HomologyGroup\n"
-            "for args in ((0, (3, 2)), (-1,)):\n"
+            "for args in ((0, (3, 2)), (-1,), (0, (1,)), (0, (0,)),\n"
+            "             (0, (2, 3))):\n"
             "    try:\n        HomologyGroup(*args)\n"
             "    except ValueError:\n        continue\n"
             "    raise SystemExit(1)\n")
@@ -599,6 +645,28 @@ def test_quotient_table_matches_full_complex(pres, window):
     want = _full_complex_tables(pres, window)
     for ring in RINGS:
         assert homology_table(pres, ring, window).serialize() == want[ring]
+
+
+# sha-256 of serialize() for the acceptance tables, as computed before the
+# two-pass homology_table and the row echelon field rank
+PINNED_TABLES = (
+    (lambda: projector_presentation("[12,3]", 3), QQ,
+     Window(-60, 60, -12, 12),
+     "e06a3d57efc61adf38cc9cade7cfaaa88d4b98ae69502066250d91f317354459"),
+    (lambda: stable_presentation(5, 3), ZZ, Window(0, 72, 0, 26),
+     "8db6c010cb042baf6f1cd3603b69fcd80d3152700641e0e2959c78a499ec90a9"),
+    (lambda: stable_presentation(5, 3), F3, Window(0, 72, 0, 26),
+     "9580246d89edb32165e7c64589a394c65bcc4950809249555a513d26671de35f"),
+    (lambda: stable_presentation(6, 3), ZZ, Window(0, 90, 0, 30),
+     "168c8ce00246b67db77aec6603964edf57882df20da3a5f07d069cd6e93fe5a1"),
+)
+
+
+@pytest.mark.parametrize("build,ring,window,digest", PINNED_TABLES,
+                         ids=["hook_Q", "T59_Z", "T59_F3", "stable63_Z"])
+def test_pinned_tables_are_byte_identical(build, ring, window, digest):
+    text = homology_table(build(), ring, window).serialize()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def _two_variables(name, images, odd_degrees):

@@ -206,6 +206,15 @@ def test_compare_composite_torsion():
     assert compare(model, ext, torsion_primes={3}).agree
     worse = compare(model, parse_table("t=0, dd=0, rank=1, tor=3"))
     assert worse.mismatches == [(0, 0, (1, (2, 3)), (1, (3,)))]
+    # a data tor=2^1,3^1 is Z/2 + Z/3, which is Z/6 too
+    assert compare(model, parse_table("t=0, dd=0, rank=1, tor=2^1,3^1")).agree
+    # a torsion-free model cell takes the empty-torsion path, and is still
+    # a mismatch against data 5-torsion under the 5 filter
+    free = HomologyTable("free", ZZ, Window(0, 0, 0, 0),
+                         {Degree(0, 0): HomologyGroup(1)})
+    five = compare(free, parse_table("t=0, dd=0, rank=1, tor=5"),
+                   torsion_primes=[5])
+    assert five.mismatches == [(0, 0, (1, ()), (1, (5,)))]
 
 
 def test_compare_auto_shift_on_trivial_data():
