@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .algebra import CoefficientRing
+from .algebra import CoefficientRing, read_int
 from .homology import HomologyTable, Window, homology_table
 from .interface import compare, parse_table
 from .presentations import PROJECTOR_SHAPES, projector_presentation, \
@@ -204,17 +204,27 @@ def _cmd_series(args) -> int:
     return 0
 
 
+def _int_pair(name: str, form: str) -> tuple:
+    """The two integers after the colon of a certificate name."""
+    try:
+        a, b = map(read_int, name.partition(":")[2].split(","))
+    except ValueError:
+        raise ValueError(
+            f"certificate {name!r} is not of the form {form}") from None
+    return a, b
+
+
 def _cmd_certify(args) -> int:
     name = args.name
     if name.startswith("tp:"):
-        p, N = (int(x) for x in name[3:].split(","))
+        p, N = _int_pair(name, "tp:<p>,<N>")
         report = certify.torsion_certificate_tp(
             p, N, check_homology=not args.skip_homology)
     elif name in ("A", "B"):
         report = certify.verify_named_class(name)
     elif name.startswith(("reduced:", "generators:")):
-        kind, _, pair = name.partition(":")
-        n, N = (int(x) for x in pair.split(","))
+        kind = name.partition(":")[0]
+        n, N = _int_pair(name, f"{kind}:<n>,<N>")
         qmax = args.qmax if args.qmax is not None else 4 * args.tmax + 16
         check = (certify.reduced_factorization_check if kind == "reduced"
                  else certify.generator_saturation_check)
@@ -231,10 +241,10 @@ def _cmd_compare(args) -> int:
         model = HomologyTable.parse(fh.read())
     with open(args.data) as fh:
         ext = parse_table(fh.read())
-    shift = args.shift if args.shift == "auto" else int(args.shift)
+    shift = args.shift if args.shift == "auto" else read_int(args.shift)
     primes = None
     if args.torsion_primes:
-        primes = {int(x) for x in args.torsion_primes.split(",")}
+        primes = {read_int(x) for x in args.torsion_primes.split(",")}
     report = compare(model, ext, shift, torsion_primes=primes)
     print(report.text())
     return 0 if report.agree else 1

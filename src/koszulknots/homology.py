@@ -12,7 +12,7 @@ and GradedBasis builds Monomials only when read; d_matrix assembles exact
 integer matrices on the pairs from images compiled into exponent tuples;
 apply_d is the term-by-term reference the tests check it against.  One
 row echelon loop gives the ranks over Q (fraction-free) and F_p; over Z
-the elimination of the +-1 pivots feeds the general Smith loop.
+one Smith loop pivots on the +-1 entries, then on the least entries.
 homology_table is the one homology path: one enumeration, one pass that
 takes each matrix's rank or Smith form once and one that forms the
 groups, on the complex's quotient by its regular sequence of unit powers
@@ -258,65 +258,6 @@ def d_matrix(pres: Presentation, deg: Degree,
 # exact linear algebra
 
 
-def _eliminate_units(mat: IntegerMatrix):
-    """Remove the +-1 pivots of an integer matrix.
-
-    A unit's column is cleared by row operations and then its row by
-    column operations that touch no other row: the rank drops by one, and
-    the Smith form loses a factor 1.  Each sweep visits, in order, the
-    columns that gained a unit since the last one and takes the unit of
-    the shortest row, until none is left.  The elimination step of Dumas,
-    Saunders and Villard (J. Symbolic Comput. 32, 2001).  Returns the
-    pivot count and the remainder, row -> {col: v}, for _smith.
-    """
-    rows = defaultdict(dict)
-    # col -> rows that held it, in order; a row that left or whose entry
-    # cancelled stays listed and is skipped when the column is read
-    cols = defaultdict(dict)
-    fresh = set()
-    for (r, c), v in mat.entries.items():
-        if v:
-            rows[r][c] = v
-            cols[c][r] = None
-            if v in (1, -1):
-                fresh.add(c)
-    pivots = 0
-    while fresh:
-        sweep, fresh = sorted(fresh), set()
-        for c in sweep:
-            top, live = None, []
-            for r in cols.get(c, ()):
-                row = rows.get(r)
-                if row is None or c not in row:
-                    continue
-                live.append(r)
-                if row[c] in (1, -1) and (
-                        top is None or len(row) < len(rows[top])):
-                    top = r
-            if top is None:
-                continue
-            del cols[c]
-            pivots += 1
-            prow = rows.pop(top)
-            unit = prow.pop(c)
-            live.remove(top)
-            for r in live:
-                row = rows[r]
-                f = row.pop(c) * unit
-                for cc, v in prow.items():
-                    old = row.get(cc)
-                    nv = (old or 0) - f * v
-                    if nv:
-                        row[cc] = nv
-                        if old is None:
-                            cols[cc][r] = None
-                        if nv in (1, -1):
-                            fresh.add(cc)
-                    else:
-                        del row[cc]
-    return pivots, {r: row for r, row in rows.items() if row}
-
-
 def _echelon(mat: IntegerMatrix, p: int = 0) -> dict:
     """Row echelon form over F_p, or over Q for p = 0: lead col -> row.
 
@@ -354,78 +295,102 @@ def _echelon(mat: IntegerMatrix, p: int = 0) -> dict:
     return pivots
 
 
-def _smith(rows: dict, shape=None):
-    """The general Smith loop on row -> {col: value}; rows is consumed.
+def _smith(mat: IntegerMatrix, transforms: bool = False):
+    """The one Smith loop over Z: smith_normal_form's (factors, U, V).
 
-    Takes an entry of least absolute value as pivot, then clears its
-    column by row operations and its row by column operations, one entry
-    at a time; a nonzero remainder becomes the pivot.  Once both are
-    clear, a row that the pivot does not divide is added to the pivot
-    row, and clearing goes on; otherwise the pivot leaves with its row
-    and column.  With shape = (rows, cols), U and V of that shape are
-    recorded too and reordered so that U * mat * V is diagonal.
+    The pivot is a unit while one is left: each sweep visits, in order,
+    the columns that gained a +-1 since the last one and takes the unit of
+    the shortest row (the elimination step of Dumas, Saunders and Villard,
+    J. Symbolic Comput. 32, 2001).  Then it is an entry of least absolute
+    value.  Its column is cleared by row operations and its row by column
+    operations, a nonzero remainder becoming the pivot, and a row that the
+    pivot does not divide is added to the pivot row.  The column
+    operations touch no other row, so they are only recorded: a unit's
+    row leaves as soon as its column is clear.  With transforms, U and V
+    record the operations, reordered so that U * mat * V is diagonal.
     """
-    cols = defaultdict(set)
-    for r, row in rows.items():
-        for c in row:
-            cols[c].add(r)
+    rows, fresh, sweep = defaultdict(dict), set(), []
+    # col -> rows that held it, in order; a row that left or whose entry
+    # cancelled stays listed and is skipped when the column is read
+    cols = defaultdict(dict)
+    for (r, c), v in mat.entries.items():
+        if v:
+            rows[r][c] = v
+            cols[c][r] = None
+            if v in (1, -1):
+                fresh.add(c)
     U, V = [[[int(i == j) for j in range(n)] for i in range(n)]
-            for n in shape or (0, 0)]
+            for n in ((mat.rows, mat.cols) if transforms else (0, 0))]
 
     def add_row(src, dst, k):
         # row dst += k * row src
         row = rows[dst]
         for c, v in rows[src].items():
-            nv = row.get(c, 0) + k * v
-            if nv:
+            old = row.get(c)
+            if nv := (old or 0) + k * v:
                 row[c] = nv
-                cols[c].add(dst)
+                if old is None:
+                    cols[c][dst] = None
+                if nv in (1, -1):
+                    fresh.add(c)
             else:
                 del row[c]
-                cols[c].discard(dst)
-        if shape:
+        if U:
             U[dst] = [a + k * b for a, b in zip(U[dst], U[src])]
 
     factors, order = [], []
     while True:
-        pivot = min(((abs(v), r, c) for r, row in rows.items()
-                     for c, v in row.items()), default=None)
-        if pivot is None:
-            break
-        _, r, c = pivot
+        if not sweep:
+            sweep = sorted(fresh, reverse=True)
+            fresh.clear()
+        if sweep:
+            c = sweep.pop()
+            units = [(len(row), x) for x in cols.get(c, ())
+                     if (row := rows.get(x)) and row.get(c) in (1, -1)]
+            if not units:
+                continue
+            r = min(units)[1]
+        else:
+            pivot = min(((abs(v), r, c) for r, row in rows.items()
+                         for c, v in row.items()), default=None)
+            if pivot is None:
+                break
+            _, r, c = pivot
         while True:
             piv = rows[r][c]
-            if len(cols[c]) > 1:
-                r2 = next(x for x in cols[c] if x != r)
-                k = rows[r2][c] // piv
-                if k:
+            for r2 in [x for x in cols[c] if x != r and c in rows.get(x, ())]:
+                if k := rows[r2][c] // piv:
                     add_row(r, r2, -k)
-                if c in rows[r2]:
+                if c in rows[r2]:  # the remainder becomes the pivot
                     r = r2
-            elif len(rows[r]) > 1:
-                # column c holds only the pivot: col c2 -= k * col c
-                c2 = next(x for x in rows[r] if x != c)
-                k = rows[r][c2] // piv
-                for row in V:
-                    row[c2] -= k * row[c]
-                if rows[r][c2] - k * piv:
+                    break
+            else:  # column c holds only the pivot
+                if piv in (1, -1):
+                    break
+                if (c2 := next((x for x, v in rows[r].items() if v % piv),
+                               None)) is not None:
+                    k = rows[r][c2] // piv  # col c2 -= k * col c
+                    for row in V:
+                        row[c2] -= k * row[c]
                     rows[r][c2] -= k * piv
                     c = c2
+                elif (bad := next((x for x, row in rows.items()
+                                   for v in row.values() if v % piv),
+                                  None)) is not None:
+                    add_row(bad, r, 1)
                 else:
-                    del rows[r][c2]
-                    cols[c2].discard(r)
-            else:
-                bad = next((x for x, row in rows.items()
-                            for v in row.values() if v % piv), None)
-                if bad is None:
                     break
-                add_row(bad, r, 1)
-        if piv < 0 and shape:
+        prow = rows.pop(r)
+        for cc in prow if V else ():
+            if cc != c:  # col cc -= (prow[cc] / piv) * col c
+                for row in V:
+                    row[cc] -= prow[cc] // piv * row[c]
+        if piv < 0 and U:
             U[r] = [-a for a in U[r]]
         factors.append(abs(piv))
         order.append((r, c))
-        del rows[r], cols[c]
-    if not shape:
+        del cols[c]
+    if not transforms:
         return factors, None, None
     # pivot rows and columns first, in the order they left
     done_r = [r for r, _c in order]
@@ -456,19 +421,11 @@ def smith_normal_form(mat: IntegerMatrix, transforms: bool = False):
 
     Returns (factors, U, V) with U*mat*V diagonal on the factors; factors
     are positive and each divides the next.  U, V are None unless requested.
-    The unit pivots give the leading factors 1, and the general loop runs
-    on the remainder only.  With transforms the general loop runs on the
-    whole matrix instead, since it records U and V and the unit
-    elimination does not.
+    Both run the one loop _smith: the unit pivots give the leading factors
+    1, the least entries the rest, and transforms only records the row and
+    column operations in U and V.
     """
-    if not transforms:
-        pivots, rest = _eliminate_units(mat)
-        return [1] * pivots + _smith(rest)[0], None, None
-    rows = defaultdict(dict)
-    for (r, c), v in mat.entries.items():
-        if v:
-            rows[r][c] = v
-    return _smith(rows, (mat.rows, mat.cols))
+    return _smith(mat, transforms)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import CoefficientRing, read_int
+from .algebra import CoefficientRing, _is_prime, read_int
 from .homology import HomologyTable, TableFormatError, _read_table
 
 
@@ -121,13 +121,17 @@ def compare(model: HomologyTable, ext: ExternalTable, shift="auto",
     shift="auto" aligns the lowest nonzero cells in (t, q) order;
     otherwise the model's q is mapped to q + shift.  torsion_primes, when
     given, restricts the torsion comparison to those primes (for sources
-    that print torsion selectively).  Only the data cells inside the
-    model's window (after the shift) are compared: the model says nothing
-    about the rest.
+    that print torsion selectively); an entry that is not prime raises
+    ValueError, as it would filter out every torsion factor.  Only the
+    data cells inside the model's window (after the shift) are compared:
+    the model says nothing about the rest.
     """
     if ext.ring is not None and ext.ring != model.ring:
         raise ValueError(f"coefficient ring mismatch: model {model.ring}, "
                          f"data {ext.ring}")
+    if torsion_primes is not None and (bad := sorted(
+            p for p in torsion_primes if not _is_prime(p))):
+        raise ValueError(f"torsion primes {bad} are not prime")
     w = model.window
     # both sides as prime-power multisets, so tor=6 matches Z/6
     data = {(q, t): (r, _prime_power_multiset(tor, torsion_primes))

@@ -218,6 +218,14 @@ def test_certify_bad_parameters(capsys):
     for name in ("tp:4,2", "tp:4,3", "tp:x"):
         code, _out, err = run(capsys, "certify", "--name", name)
         assert code == 2 and err.startswith("error:"), name
+    # the integers are read strictly (int() would read 5_0 as 50), and a
+    # name without exactly two of them names the form it expects
+    for name, form in (("tp:5_0,3", "tp:<p>,<N>"), ("tp:5", "tp:<p>,<N>"),
+                       ("tp:5,3,1", "tp:<p>,<N>"),
+                       ("generators:+2,2", "generators:<n>,<N>"),
+                       ("reduced:2", "reduced:<n>,<N>")):
+        code, _out, err = run(capsys, "certify", "--name", name)
+        assert code == 2 and err.startswith("error:") and form in err, name
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +270,25 @@ def test_compare_fixture_stable_range(tmp_path, capsys):
     assert code == 1
     assert "agreement for t in [0, 15]" in out
     assert "first divergence at t=16" in out
+
+
+@pytest.mark.parametrize("flag", [
+    "--shift=0_0", "--shift=+1", "--torsion-primes=6",
+    "--torsion-primes=4", "--torsion-primes=1", "--torsion-primes=0",
+    "--torsion-primes=-7", "--torsion-primes=3,6", "--torsion-primes=3_0",
+])
+def test_compare_bad_flags(tmp_path, capsys, flag):
+    """A malformed shift or prime, or a non-prime, exits 2: a non-prime
+    would filter out the data's Z/7 and the model's Z/3 alike."""
+    model_path, data_path = tmp_path / "model.txt", tmp_path / "data.txt"
+    model_path.write_text("coeff=Z\nwindow=q:0..0,t:0..0\n"
+                          "q=0, t=0, rank=1, tor=3\n")
+    data_path.write_text("coeff=Z\nt=0, dd=0, rank=1, tor=7\n")
+    args = ("compare", "--model", str(model_path), "--data", str(data_path))
+    assert run(capsys, *args)[0] == 1
+    assert run(capsys, *args, "--torsion-primes", "3")[0] == 1
+    code, out, err = run(capsys, *args, flag)
+    assert code == 2 and out == "" and err.startswith("error:")
 
 
 def test_compare_missing_file(capsys):

@@ -94,10 +94,9 @@ def dense_rank(mat, p=None):
     return rank
 
 
-@settings(max_examples=300, deadline=None)
-@given(matrices)
-def test_snf_factorization(mat):
-    """U * M * V = D with U, V unimodular and a divisibility chain."""
+def check_smith_certificate(mat):
+    """U * M * V = D with U, V unimodular and D diagonal on a divisibility
+    chain of positive factors; returns the factors."""
     factors, U, V = smith_normal_form(mat, transforms=True)
     assert abs(det(U)) == 1
     assert abs(det(V)) == 1
@@ -113,7 +112,15 @@ def test_snf_factorization(mat):
     assert all(f > 0 for f in factors)
     for a, b in zip(factors, factors[1:]):
         assert b % a == 0
-    # the unit elimination then the general loop gives the same factors
+    return factors
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices)
+def test_snf_factorization(mat):
+    """U * M * V = D with U, V unimodular and a divisibility chain."""
+    factors = check_smith_certificate(mat)
+    # without transforms the same loop runs and gives the same factors
     assert smith_normal_form(mat)[0] == factors
 
 
@@ -228,9 +235,39 @@ def test_dense_rank_without_unit_entries_is_fast():
     assert rank_mod_p(mat, 2 ** 31 - 1) == 50
 
 
+SMITH_EXAMPLES = (
+    ([[2, 4], [4, 2]], [2, 6]),
+    # the unit pivot 1 leaves -1 at (1, 1) by a row operation
+    ([[1, 2], [3, 5]], [1, 1]),
+    # no unit at first: the remainder 1 of 3 by 2 becomes the pivot
+    ([[2, 4], [3, 5]], [1, 2]),
+    # 2 does not divide 3: row 1 is added to the pivot row
+    ([[2, 0], [0, 3]], [1, 6]),
+    ([[0, 0, 0], [0, 0, 0]], []),
+)
+
+
 def test_snf_known_example():
-    mat = IntegerMatrix(2, 2, {(0, 0): 2, (0, 1): 4, (1, 0): 4, (1, 1): 2})
-    assert smith_normal_form(mat)[0] == [2, 6]
+    for rows, factors in SMITH_EXAMPLES:
+        mat = IntegerMatrix(len(rows), len(rows[0]), {
+            (r, c): v for r, row in enumerate(rows)
+            for c, v in enumerate(row)})
+        assert smith_normal_form(mat) == (factors, None, None)
+        assert check_smith_certificate(mat) == factors
+
+
+def test_snf_certificate_on_table_matrices(monkeypatch):
+    """U * M * V = D on every matrix of a small table over Z: the loop
+    that records U and V is the one the tables run."""
+    mats = _recorded_matrices(monkeypatch, stable_presentation(4, 3), ZZ,
+                              Window(0, 40, 0, 14))
+    assert len(mats) == 57
+    factors = set()
+    for mat in mats:
+        found = check_smith_certificate(mat)
+        assert smith_normal_form(mat)[0] == found
+        factors.update(found)
+    assert factors == {1, 3}  # the table's Z/3 classes
 
 
 def test_homology_group_rejects_broken_divisibility_chain():

@@ -195,6 +195,10 @@ def test_compare_torsion_prime_filter():
     ext.cells[(11, 16 - 22)] = (g.free_rank, ((5, 1),))
     report = compare(model, ext, torsion_primes={5})
     assert report.agree
+    # a non-prime would filter out every factor, so every cell would agree
+    for primes in ({6}, {4}, {1}, {0}, {-7}, {5, 6}):
+        with pytest.raises(ValueError, match="not prime"):
+            compare(model, ext, torsion_primes=primes)
 
 
 def test_compare_composite_torsion():
