@@ -20,9 +20,7 @@ from . import certify
 
 
 def _parse_N(tag: str):
-    if tag == "homfly":
-        return "homfly"
-    return int(tag)
+    return "homfly" if tag == "homfly" else read_int(tag)
 
 
 def _build_parser():
@@ -33,7 +31,8 @@ def _build_parser():
     sub = top.add_subparsers(dest="command", required=True)
 
     h = sub.add_parser("homology", help="compute a homology table")
-    h.add_argument("--n", type=int, help="number of strands (stable model)")
+    h.add_argument("--n", type=read_int,
+                   help="number of strands (stable model)")
     h.add_argument("--N", type=_parse_N, default=2,
                    help="SL(N) rank, 0 for d_0, or 'homfly'")
     h.add_argument("--coeff", default="Q",
@@ -41,26 +40,26 @@ def _build_parser():
     h.add_argument("--reduced", action="store_true")
     h.add_argument("--tableau", choices=PROJECTOR_SHAPES,
                    help="projector algebra instead of the stable model")
-    h.add_argument("--tmax", type=int, required=True)
-    h.add_argument("--tmin", type=int, default=0)
-    h.add_argument("--qmax", type=int, required=True)
-    h.add_argument("--qmin", type=int, default=0)
+    h.add_argument("--tmax", type=read_int, required=True)
+    h.add_argument("--tmin", type=read_int, default=0)
+    h.add_argument("--qmax", type=read_int, required=True)
+    h.add_argument("--qmin", type=read_int, default=0)
     h.add_argument("--out", help="write the table to a file")
 
     s = sub.add_parser("series", help="closed-form series and assemblies")
     s.add_argument("--formula", help="catalogue name; see --list")
     s.add_argument("--list", action="store_true",
                    help="list catalogue formula names")
-    s.add_argument("--torus2", type=int, metavar="M",
+    s.add_argument("--torus2", type=read_int, metavar="M",
                    help="assemble the (2, M) torus knot series")
-    s.add_argument("--torus3", type=int, metavar="M",
+    s.add_argument("--torus3", type=read_int, metavar="M",
                    help="assemble the (3, M) torus knot series")
     s.add_argument("--N", type=_parse_N, default=None)
-    s.add_argument("--n", type=int, help="strand parameter (P_ZN)")
+    s.add_argument("--n", type=read_int, help="strand parameter (P_ZN)")
     s.add_argument("--reduced", action="store_true")
-    s.add_argument("--expand", type=int, metavar="TMAX",
+    s.add_argument("--expand", type=read_int, metavar="TMAX",
                    help="expand through homological degree TMAX")
-    s.add_argument("--qmax", type=int, default=None)
+    s.add_argument("--qmax", type=read_int, default=None)
     s.add_argument("--check-identities", action="store_true",
                    help="verify the projector sum identities")
 
@@ -68,9 +67,9 @@ def _build_parser():
     c.add_argument("--name", required=True,
                    help="tp:<p>,<N> | A | B | reduced:<n>,<N> "
                         "| generators:<n>,<N>")
-    c.add_argument("--tmax", type=int, default=10,
+    c.add_argument("--tmax", type=read_int, default=10,
                    help="window height for windowed certificates")
-    c.add_argument("--qmax", type=int, default=None)
+    c.add_argument("--qmax", type=read_int, default=None)
     c.add_argument("--skip-homology", action="store_true",
                    help="skip the integral homology check in tp certificates")
 

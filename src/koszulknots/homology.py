@@ -7,11 +7,15 @@ functional positive on every even generator degree, from the exact
 decision algebra.grading_functional, so every graded piece is whole and
 every table exact; when no such functional exists the graded pieces are
 infinite, and the error names the exact witness, a product of even
-generators of degree zero.  The walk yields (even, odd) exponent pairs,
-and GradedBasis builds Monomials only when read; d_matrix assembles exact
-integer matrices on the pairs from images compiled into exponent tuples;
-apply_d is the term-by-term reference the tests check it against.  One
-row echelon loop gives the ranks over Q (fraction-free) and F_p; over Z
+generators of degree zero.  The walk packs each x^e xi_S into one int
+key: e in mixed radix B, e_0 the most significant digit, then the rank of
+S among the odd parts in tuple order, so sorted keys are sorted (even,
+odd) pairs.  B exceeds every walked exponent plus every image exponent,
+so key + packed image exponent never carries: it is the image's key, in
+the basis only for a basis monomial.  d_matrix assembles exact integer
+matrices with one int add and one lookup per image term; GradedBasis
+decodes pairs only when read; apply_d is the term-by-term reference.
+One row echelon loop gives the ranks over Q (fraction-free) and F_p; over Z
 one Smith loop pivots on the +-1 entries, then on the least entries.
 homology_table is the one homology path: one enumeration, one pass that
 takes each matrix's rank or Smith form once and one that forms the
@@ -23,10 +27,11 @@ window.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import astuple, dataclass, field
 from math import gcd
-from operator import add, mul
+from operator import mul
 
 from .algebra import (CoefficientRing, Degree, Monomial, T_STEP,
                       exponent_range, exponent_rows, grading_functional,
@@ -64,10 +69,27 @@ class Window:
 
 @dataclass
 class GradedBasis:
-    """Sorted (even, odd) exponent pairs at one degree; monomials wraps them."""
+    """Sorted basis keys at one degree; exps and monomials decode them.
+
+    key = sum e_i place[i+1] + odds.index(odd), place[i] = B^(n-i) len(odds),
+    under the layout (odds, place, image terms) that all bases of one walk
+    share; keys of two layouts do not compare.  B exceeds every walked
+    exponent plus every image exponent, so no key + packed image exponent
+    carries.  moves caches d_matrix's (+-c, delta) per odd part.
+    """
 
     degree: Degree
-    exps: list
+    keys: list
+    layout: tuple = None
+    moves: dict = field(default_factory=dict, compare=False, repr=False)
+
+    @property
+    def exps(self) -> list:
+        """The sorted (even, odd) exponent pairs."""
+        odds, place, _images = self.layout or ((), (1,), ())
+        digits = tuple(zip(place, place[1:]))
+        return [(tuple([k % a // b for a, b in digits]), odds[k % place[-1]])
+                for k in self.keys]
 
     @property
     def monomials(self) -> list:
@@ -127,8 +149,9 @@ def _unit_images(pres: Presentation) -> dict:
 def _search(pres: Presentation, corners, reduced: bool = False) -> dict:
     """Monomials whose (q, t) lies in the box spanned by the corners.
 
-    Returns (q, t, a) -> list of (even, odd) exponent pairs, unsorted, each
-    a valid Monomial (exponents >= 0, odd indices increasing).  The walk is
+    Returns Degree -> GradedBasis of the keys of valid Monomials, one
+    layout for all, with radix B = 1 + the largest image exponent + the
+    largest budget // the least weight.  The walk is
     finite because of one budget: the functional lam of grading_functional
     gives even generator k the weight lam . deg_k >= 1, and the amount is
     max lam . corner minus the odd part, so every monomial of a corner's
@@ -154,11 +177,19 @@ def _search(pres: Presentation, corners, reduced: bool = False) -> dict:
     n = len(ev)
     ws = tuple(sum(map(mul, lam, g)) for g in ev)
     top = max(sum(map(mul, lam, (c.q, c.t, c.a))) for c in corners)
+    most = top - sum(min(0, sum(map(mul, lam, pres.odd_degrees[j])))
+                     for j in free)
+    radix = max(most, 0) // min(ws, default=1) + 1 + max(
+        [e for img in pres.image_terms for _c, f in img for e in f] or [0])
+    odds = sorted(S for size in range(len(free) + 1)
+                  for S in itertools.combinations(free, size))
+    place = tuple(radix ** (n - i) * len(odds) for i in range(n + 1))
+    layout, moves = (odds, place, pres.image_terms), {}
     box = [(c.q, c.t) for c in corners]
     rows = list(exponent_rows(ev, ws, box))
     found_at: dict = {}
 
-    def dfs(i, pos, exps, budget, odd):
+    def dfs(i, pos, key, budget):
         q, t, a = pos
         lo, hi = exponent_range(rows[i], q, t, budget, ws[i])
         hi = min(hi, caps.get(i, hi))
@@ -166,43 +197,42 @@ def _search(pres: Presentation, corners, reduced: bool = False) -> dict:
         for e in range(lo, hi + 1):
             at = (q + e * dq, t + e * dt, a + e * da)
             if i == n - 1:
-                found_at.setdefault(at, []).append((exps + (e,), odd))
+                found_at.setdefault(at, []).append(key + e * place[n])
             else:
-                dfs(i + 1, at, exps + (e,), budget - e * ws[i], odd)
+                dfs(i + 1, at, key + e * place[i + 1], budget - e * ws[i])
 
-    for size in range(len(free) + 1):
-        for S in itertools.combinations(free, size):
-            q = t = a = 0
-            for j in S:
-                d = pres.odd_degrees[j]
-                q, t, a = q + d.q, t + d.t, a + d.a
-            budget = top - sum(map(mul, lam, (q, t, a)))
-            if budget < 0:
-                continue
-            if n:
-                dfs(0, (q, t, a), (), budget, S)
-            elif all(min(x) <= y <= max(x) for x, y in zip(zip(*box), (q, t))):
-                found_at.setdefault((q, t, a), []).append(((), S))
-    return found_at
+    for code, S in enumerate(odds):
+        q = t = a = 0
+        for j in S:
+            d = pres.odd_degrees[j]
+            q, t, a = q + d.q, t + d.t, a + d.a
+        budget = top - sum(map(mul, lam, (q, t, a)))
+        if budget < 0:
+            continue
+        if n:
+            dfs(0, (q, t, a), code, budget)
+        elif all(min(x) <= y <= max(x) for x, y in zip(zip(*box), (q, t))):
+            found_at.setdefault((q, t, a), []).append(code)
+    return {(deg := Degree(*at)): GradedBasis(deg, sorted(keys), layout, moves)
+            for at, keys in found_at.items()}
 
 
 def basis_at(pres: Presentation, deg: Degree) -> GradedBasis:
-    """All monomials of exactly the given degree, as sorted exponent pairs.
+    """All monomials of exactly the given degree, as sorted basis keys.
 
     One call of the shared enumerator on the one-degree box, with the
     lam-budget lam . deg (the a-degree included); the monomials of other
     a-degrees it meets are dropped.  The presentation must be properly
     graded, or NonProperGradingError names a witness (x^9*y).
     """
-    found = _search(pres, [deg]).get((deg.q, deg.t, deg.a), [])
-    return GradedBasis(deg, sorted(found))
+    return _search(pres, [deg]).get(deg) or GradedBasis(deg, [])
 
 
 def window_bases(pres: Presentation, window: Window,
                  reduced: bool = False) -> dict:
     """Bases for every degree in the window by one enumeration.
 
-    Returns Degree -> GradedBasis of the walk's exponent pairs for the
+    Returns Degree -> GradedBasis of the walk's keys, in one layout, for the
     nonempty degrees of the window extended by one t-step on both sides
     (the extra rows back the boundary matrices).  It is the enumerator of
     basis_at run once on the whole box, so a window costs one pruned walk
@@ -217,8 +247,7 @@ def window_bases(pres: Presentation, window: Window,
     """
     corners = [Degree(q, t) for q in (window.qmin, window.qmax)
                for t in (window.tmin - 1, window.tmax + 1)]
-    return {(deg := Degree(*key)): GradedBasis(deg, sorted(exps))
-            for key, exps in _search(pres, corners, reduced).items()}
+    return _search(pres, corners, reduced)
 
 
 def d_matrix(pres: Presentation, deg: Degree,
@@ -230,28 +259,37 @@ def d_matrix(pres: Presentation, deg: Degree,
     t-degree down; entries are exact integers.  Every d(xi_j) is purely
     even, so d(x^e xi_S) is the sum over the l-th odd factor j of S of
     (-1)^l c x^(e+f) xi_(S-j), with c x^f running over the terms of
-    d(xi_j), as compiled once into pres.image_terms, and the rows looked up
-    by the bases' exponent pairs.  apply_d computes the same images
-    through SuperPolynomial products, for the tests.
+    d(xi_j) in pres.image_terms.  A term's row has the key src key + delta,
+    delta = packed f + code(S - j) - code(S), compiled once per walk and
+    odd part S.  So src and dst must share the layout of one walk of pres,
+    as the default bases do, or ValueError is raised.  apply_d computes the
+    same images through SuperPolynomial products, for the tests.
     """
-    if src is None:
-        src = basis_at(pres, deg)
-    if dst is None:
-        dst = basis_at(pres, deg - T_STEP)
-    images = pres.image_terms
-    index = {pair: r for r, pair in enumerate(dst.exps)}
-    entries = {}
-    for col, (even, odd) in enumerate(src.exps):
-        for l, j in enumerate(odd):
-            rest = odd[:l] + odd[l + 1:]
-            sign = -1 if l % 2 else 1
-            for c, f in images[j]:
-                r = index.get((tuple(map(add, even, f)), rest))
-                # a missing row is reduced away by homology_table's quotient
-                # or is a term of an inhomogeneous image, of another degree
-                if r is not None:
-                    entries[(r, col)] = sign * c
-    return IntegerMatrix(len(dst.exps), len(src.exps), entries)
+    if src is None or dst is None:
+        walk = _search(pres, [deg, deg - T_STEP])
+        src = src or walk.get(deg) or GradedBasis(deg, [])
+        dst = dst or walk.get(deg - T_STEP) or GradedBasis(deg - T_STEP, [])
+    if not (src.keys and dst.keys):
+        return IntegerMatrix(len(dst.keys), len(src.keys))
+    if src.layout != dst.layout:
+        raise ValueError(f"the bases at {src.degree} and {dst.degree} come "
+                         "from different walks; their keys do not compare")
+    (odds, place, images), moves = src.layout, src.moves
+    index = {key: r for r, key in enumerate(dst.keys)}
+    entries, mask = {}, len(odds) - 1
+    for col, key in enumerate(src.keys):
+        if (move := moves.get(code := key & mask)) is None:
+            odd = odds[code]
+            move = moves[code] = [
+                (-c if l % 2 else c, sum(map(mul, f, place[1:]))
+                 + bisect_left(odds, odd[:l] + odd[l + 1:]) - code)
+                for l, j in enumerate(odd) for c, f in images[j]]
+        for v, delta in move:
+            # a missing row is reduced away by homology_table's quotient
+            # or is a term of an inhomogeneous image, of another degree
+            if (r := index.get(key + delta)) is not None:
+                entries[r, col] = v
+    return IntegerMatrix(len(dst.keys), len(src.keys), entries)
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +644,7 @@ def homology_table(pres: Presentation, ring: CoefficientRing, window: Window
         if a or not (qmin <= q <= qmax and tmin <= t <= tmax):
             continue
         rank, torsion = out.get((q, t), (0, ()))
-        free = len(b.exps) - rank - out.get((q, t + 1), (0,))[0]
+        free = len(b.keys) - rank - out.get((q, t + 1), (0,))[0]
         if free or torsion:
             groups[deg] = HomologyGroup(free, torsion)
     return HomologyTable(pres.name, ring, window, groups)
@@ -633,7 +671,7 @@ def euler_characteristic_check(pres: Presentation, ring: CoefficientRing,
     table = homology_table(pres, ring, window)
     for t in range(window.tmin, window.tmax + 1):
         deg = Degree(q, t)
-        chain += (-1) ** t * len(column[deg].exps) if deg in column else 0
+        chain += (-1) ** t * len(column[deg].keys) if deg in column else 0
         hom += (-1) ** t * table.rank_at(deg)
     # boundary terms vanish when the window covers the whole q-column
     return chain == hom

@@ -29,7 +29,8 @@ class ExternalTable:
     def qt_cells(self):
         """Cells re-keyed by (q, t) with q = ddagger + 2t, torsion expanded."""
         return {(dd + 2 * t, t): (rank, tuple(sorted(
-                    power for power, count in torsion for _ in range(count))))
+                    power for power, count in torsion for _ in range(count)))
+                    if torsion else ())
                 for (t, dd), (rank, torsion) in self.cells.items()}
 
 
@@ -119,7 +120,8 @@ def compare(model: HomologyTable, ext: ExternalTable, shift="auto",
     """Match a model table against external data after a q-shift.
 
     shift="auto" aligns the lowest nonzero cells in (t, q) order;
-    otherwise the model's q is mapped to q + shift.  torsion_primes, when
+    otherwise the model's q is mapped to q + shift, an int or its text,
+    read as strictly as table integers (read_int).  torsion_primes, when
     given, restricts the torsion comparison to those primes (for sources
     that print torsion selectively); an entry that is not prime raises
     ValueError, as it would filter out every torsion factor.  Only the
@@ -133,9 +135,12 @@ def compare(model: HomologyTable, ext: ExternalTable, shift="auto",
             p for p in torsion_primes if not _is_prime(p))):
         raise ValueError(f"torsion primes {bad} are not prime")
     w = model.window
-    # both sides as prime-power multisets, so tor=6 matches Z/6
-    data = {(q, t): (r, _prime_power_multiset(tor, torsion_primes))
-            for (q, t), (r, tor) in ext.qt_cells().items()
+    # both sides as prime-power multisets, so tor=6 matches Z/6; the data
+    # cells re-keyed as by qt_cells, but only at the window's t
+    data = {(dd + 2 * t, t): (r, _prime_power_multiset(
+                [p for p, count in tor for _ in range(count)], torsion_primes)
+                if tor else ())
+            for (t, dd), (r, tor) in ext.cells.items()
             if w.tmin <= t <= w.tmax}
     model_cells = {}
     for d, g in model.groups.items():
@@ -156,7 +161,7 @@ def compare(model: HomologyTable, ext: ExternalTable, shift="auto",
                     f"(model t={mt}, data t={dt})")
             s = dq - mq
     else:
-        s = int(shift)
+        s = read_int(str(shift))
     data = {(q, t): c for (q, t), c in data.items()
             if w.qmin <= q - s <= w.qmax}
 

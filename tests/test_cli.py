@@ -66,6 +66,25 @@ def test_homology_usage_errors(capsys):
     assert code == 2 and "--bound" in err
 
 
+@pytest.mark.parametrize("args,option", [
+    (("homology", "--n", "2", "--N", "2", "--coeff", "Z", "--tmax", "0_2",
+      "--qmax", "4"), "--tmax"),
+    (("homology", "--n", "2", "--N", "2", "--coeff", "Z", "--tmax", "2",
+      "--qmax", "+4"), "--qmax"),
+    (("homology", "--n", "\u0662", "--tmax", "2", "--qmax", "4"), "--n"),
+    (("series", "--formula", "P2_dN", "--N", "0_3"), "--N"),
+    (("series", "--formula", "P2_dN", "--N", "3", "--expand", "+2"),
+     "--expand"),
+    (("series", "--torus2", "3_1", "--N", "2"), "--torus2"),
+    (("certify", "--name", "A", "--tmax", "1_0"), "--tmax"),
+])
+def test_integer_options_are_read_strictly(capsys, args, option):
+    """int() would read 0_2 as 2 and +4 as 4: every integer option goes
+    through read_int, and a bad one exits 2 naming the option."""
+    code, out, err = run(capsys, *args)
+    assert code == 2 and out == "" and f"argument {option}:" in err
+
+
 # ---------------------------------------------------------------------------
 # series
 

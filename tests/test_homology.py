@@ -537,6 +537,91 @@ def test_d_matrix_matches_apply_d(pres, inhomogeneous, window):
     assert bool(off_degree) == inhomogeneous
 
 
+def _apply_d_entries(pres, src, dst):
+    """(row, col) -> entry of apply_d on the src monomials, on dst's rows."""
+    row = {m: r for r, m in enumerate(dst)}
+    return {(row[target], col): v for col, m in enumerate(src)
+            for target, v in apply_d(
+                pres, SuperPolynomial.from_monomial(ZZ, m)).terms.items()
+            if target in row}
+
+
+def _high_image():
+    """d(xi) = x^7 for u, x of degrees (2, 1), (1, 0): the image is not of
+    xi's degree, and its exponent 7 lies above every exponent walked for
+    q <= 6.  In d_matrix's walk at (6, 2) a radix of the walked exponents
+    alone (6) would carry x^3 xi -> x^10 into u x^4, a row at (6, 1)."""
+    return Presentation("high-image", ("u", "x"), (Degree(2, 1), Degree(1, 0)),
+                        ("xi",), (Degree(3, 2),),
+                        [SuperPolynomial(ZZ, 2, {Monomial((0, 7)): 1})])
+
+
+@pytest.mark.parametrize("pres,window", [
+    (_high_image(), Window(0, 6, 0, 3)),
+    (projector_presentation("[13,2]", 3, "displayed"), Window(-8, 8, -2, 3)),
+], ids=lambda v: getattr(v, "name", ""))
+def test_d_matrix_image_exponent_above_the_walk(pres, window):
+    """A key plus a packed image exponent never carries into a basis key,
+    for the default bases and for one window's."""
+    bases = window_bases(pres, window)
+    if pres.name == "high-image":
+        assert pres.homogeneity_violations and max(
+            e for b in bases.values() for even, _odd in b.exps
+            for e in even) == 6
+    for deg in window.degrees():
+        src, dst = basis_at(pres, deg), basis_at(pres, deg - T_STEP)
+        want = _apply_d_entries(pres, src.monomials, dst.monomials)
+        assert d_matrix(pres, deg).entries == want, deg
+        if deg in bases and deg - T_STEP in bases:
+            assert d_matrix(pres, deg, bases[deg],
+                            bases[deg - T_STEP]).entries == want, deg
+
+
+@pytest.mark.parametrize("case", [0, -1])
+def test_default_bases_match_one_window_walk(case):
+    """d_matrix's default bases come from one walk over deg and the degree
+    below; the same matrix comes from the bases of one window_bases."""
+    pres, _inhomogeneous, window = _d_matrix_cases()[case]
+    bases = window_bases(pres, window)
+    basis = lambda deg: bases.get(deg) or homology.GradedBasis(deg, [])
+    for deg in window.degrees():
+        got = d_matrix(pres, deg, basis(deg), basis(deg - T_STEP))
+        want = d_matrix(pres, deg)
+        assert (got.rows, got.cols, got.entries) \
+            == (want.rows, want.cols, want.entries), deg
+        # sorted keys are the sorted exponent pairs
+        exps = basis(deg).exps
+        assert exps == basis_at(pres, deg).exps
+        assert all(a < b for a, b in zip(exps, exps[1:]))
+
+
+def test_d_matrix_rejects_keys_of_two_walks():
+    pres, deg = stable_presentation(4, 3), Degree(6, 1)
+    src, dst = basis_at(pres, deg), basis_at(pres, deg - T_STEP)
+    assert src.keys and dst.keys and src.layout != dst.layout
+    with pytest.raises(ValueError, match="different walks"):
+        d_matrix(pres, deg, src, dst)
+    # an empty side has no keys to compare
+    empty = homology.GradedBasis(deg - T_STEP, [])
+    assert d_matrix(pres, deg, src, empty).entries == {}
+
+
+def test_odd_codes_follow_tuple_order():
+    """The odd code of S is its rank among the walk's odd parts in tuple
+    order, so (1, 2) sorts between (1,) and (2,), and keys decode to the
+    pairs they were packed from."""
+    pres, window = stable_presentation(4, 3), Window(0, 16, 0, 5)
+    for reduced, free in ((False, range(4)), (True, range(1, 4))):
+        bases = window_bases(pres, window, reduced)
+        layout = next(iter(bases.values())).layout
+        assert all(b.layout is layout for b in bases.values())
+        assert layout[0] == sorted(S for k in range(len(free) + 1)
+                                   for S in itertools.combinations(free, k))
+        for basis in bases.values():
+            assert [(m.even, m.odd) for m in basis.monomials] == basis.exps
+            assert basis.exps == sorted(basis.exps)
+
+
 def test_d_matrix_squares_to_zero():
     pres = stable_presentation(3, 2)
     for t in range(2, 10):

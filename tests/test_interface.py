@@ -44,6 +44,24 @@ def test_qt_cells_expansion():
     assert table.qt_cells() == {(18, 11): (1, (5, 5))}
 
 
+def test_qt_cells_mixes_torsion_and_torsion_free_cells():
+    table = parse_table("t=11, dd=-4, rank=1, tor=5^2,3\n"
+                        "t=0, dd=4, rank=2\nt=3, dd=0, rank=0")
+    assert table.qt_cells() == {(18, 11): (1, (3, 5, 5)), (4, 0): (2, ()),
+                                (6, 3): (0, ())}
+    # Z/5 + Z/15 in the model is the data's 5^2,3; the cell at t = 30
+    # lies above the model's window and is not compared
+    model = HomologyTable("m", ZZ, Window(0, 20, 0, 12), {
+        Degree(18, 11): HomologyGroup(1, (5, 15)),
+        Degree(4, 0): HomologyGroup(2)})
+    table.cells[(30, 0)] = (1, ((7, 1),))
+    report = compare(model, table, shift=0)
+    assert report.agree and report.compared_cells == 3
+    table.cells[(11, -4)] = (1, ((5, 1), (3, 1)))
+    assert compare(model, table, shift=0).mismatches == [
+        (11, 18, (1, (3, 5, 5)), (1, (3, 5)))]
+
+
 @pytest.mark.parametrize("text,fragment", [
     ("t=0, dd=0", "missing field"),
     ("t=0, dd=0, rank=1, foo=2", "unknown field"),
@@ -163,6 +181,15 @@ def test_compare_explicit_shift():
     model = small_model()
     report = compare(model, to_external(model, shift=4), shift=4)
     assert report.agree
+
+
+def test_compare_reads_a_text_shift_strictly():
+    # a shift given as text is read as strictly as table integers
+    model = small_model()
+    assert compare(model, to_external(model, shift=4), shift="4").agree
+    for bad in ("0_4", "+4", "4.0"):
+        with pytest.raises(ValueError, match="non-integer"):
+            compare(model, to_external(model, shift=4), shift=bad)
 
 
 def test_compare_reports_first_divergence_in_t_order():
