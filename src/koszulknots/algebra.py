@@ -1,8 +1,8 @@
 """Exact arithmetic for multigraded supercommutative polynomials.
 
 Monomials mix even (polynomial) generators with odd (exterior) ones;
-odd generators anticommute and square to zero.  Coefficients live in
-Q, Z or a prime field, all with arbitrary precision.  grading_functional
+odd generators anticommute and square to zero.  Coefficients are
+integers of any size, and mod(p) reduces them.  grading_functional
 decides exactly whether a set of degrees admits a positive grading, and
 exponent_rows prunes the walk it bounds to a (q, t) box: the one graded
 walk of homology's enumerator and of series' factored expansion.
@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 
 class StructuralError(ValueError):
-    """Operands from different presentations or coefficient rings."""
+    """Operands from different presentations."""
 
 
 class Degree(NamedTuple):
@@ -205,22 +205,6 @@ class CoefficientRing:
     def is_field(self) -> bool:
         return self.kind != "Z"
 
-    def normalize(self, c):
-        """Map an int or a rational (read through .numerator and
-        .denominator) into canonical form; 0 means drop the term."""
-        if self.kind == "Q":
-            return c
-        num, den = c.numerator, c.denominator
-        if self.kind == "Fp":
-            if den == 1:
-                return num % self.p
-            if den % self.p == 0:
-                raise ZeroDivisionError("denominator not invertible mod p")
-            return num * pow(den, -1, self.p) % self.p
-        if den != 1:
-            raise ValueError(f"{c} is not an integer")
-        return num
-
     def __str__(self):
         return {"Q": "Q", "Z": "Z"}.get(self.kind, f"F{self.p}")
 
@@ -300,37 +284,30 @@ def mono_degree(m: Monomial, pres) -> Degree:
 
 
 class SuperPolynomial:
-    """Finite sum of monomials with nonzero coefficients in a fixed ring.
+    """Finite sum of monomials with nonzero integer coefficients.
 
     Values are immutable by convention; all operations return new objects.
     """
 
-    __slots__ = ("ring", "n_even", "terms")
+    __slots__ = ("n_even", "terms")
 
-    def __init__(self, ring: CoefficientRing, n_even: int, terms=None):
-        self.ring = ring
+    def __init__(self, n_even: int, terms=None):
         self.n_even = n_even
-        clean = {}
-        if terms:
-            for m, c in terms.items():
-                c = ring.normalize(c)
-                if c:
-                    clean[m] = c
-        self.terms = clean
+        self.terms = {m: c for m, c in terms.items() if c} if terms else {}
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, ring, n_even):
-        return cls(ring, n_even)
+    def zero(cls, n_even):
+        return cls(n_even)
 
     @classmethod
-    def one(cls, ring, n_even):
-        return cls(ring, n_even, {one_monomial(n_even): 1})
+    def one(cls, n_even):
+        return cls(n_even, {one_monomial(n_even): 1})
 
     @classmethod
-    def from_monomial(cls, ring, m: Monomial, coeff=1):
-        return cls(ring, len(m.even), {m: coeff})
+    def from_monomial(cls, m: Monomial, coeff=1):
+        return cls(len(m.even), {m: coeff})
 
     # -- queries ------------------------------------------------------
 
@@ -343,16 +320,12 @@ class SuperPolynomial:
     def __eq__(self, other):
         if not isinstance(other, SuperPolynomial):
             return NotImplemented
-        return (self.ring == other.ring and self.n_even == other.n_even
-                and self.terms == other.terms)
+        return self.n_even == other.n_even and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.ring, self.n_even, frozenset(self.terms.items())))
+        return hash((self.n_even, frozenset(self.terms.items())))
 
     def _check(self, other):
-        if self.ring != other.ring:
-            raise StructuralError(
-                f"coefficient ring mismatch: {self.ring} vs {other.ring}")
         if self.n_even != other.n_even:
             raise StructuralError("presentation mismatch")
 
@@ -363,17 +336,17 @@ class SuperPolynomial:
         terms = dict(self.terms)
         for m, c in other.terms.items():
             terms[m] = terms.get(m, 0) + c
-        return SuperPolynomial(self.ring, self.n_even, terms)
+        return SuperPolynomial(self.n_even, terms)
 
     def __neg__(self):
-        return SuperPolynomial(self.ring, self.n_even,
+        return SuperPolynomial(self.n_even,
                                {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scaled(self, c):
-        return SuperPolynomial(self.ring, self.n_even,
+        return SuperPolynomial(self.n_even,
                                {m: c * v for m, v in self.terms.items()})
 
     def __mul__(self, other):
@@ -388,13 +361,14 @@ class SuperPolynomial:
                     continue
                 sign, m = r
                 terms[m] = terms.get(m, 0) + sign * c1 * c2
-        return SuperPolynomial(self.ring, self.n_even, terms)
+        return SuperPolynomial(self.n_even, terms)
 
     __rmul__ = scaled
 
-    def map_ring(self, ring: CoefficientRing) -> "SuperPolynomial":
-        """Push coefficients into another ring (e.g. Z -> F_p reduction)."""
-        return SuperPolynomial(ring, self.n_even, dict(self.terms))
+    def mod(self, p: int) -> "SuperPolynomial":
+        """Coefficients reduced to 0..p-1; zero when p divides them all."""
+        return SuperPolynomial(self.n_even,
+                               {m: c % p for m, c in self.terms.items()})
 
     # -- canonical order and text form ---------------------------------
 
@@ -436,4 +410,4 @@ class SuperPolynomial:
         return out
 
     def __repr__(self):
-        return f"SuperPolynomial({len(self.terms)} terms over {self.ring})"
+        return f"SuperPolynomial({len(self.terms)} terms)"

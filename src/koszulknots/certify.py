@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebra import Degree, Monomial, QQ, SuperPolynomial, T_STEP, ZZ, \
-    _is_prime, mono_degree, prime_field
+    _is_prime, mono_degree
 from .homology import GradedBasis, IntegerMatrix, Window, d_matrix, \
     homology_at, homology_table, rank_exact, window_bases
 from .presentations import Presentation, apply_d, mu, \
@@ -53,7 +53,7 @@ def t_class(p: int, N: int) -> SuperPolynomial:
         exp = [0] * p
         exp[i] = 1
         terms[Monomial(tuple(exp), (p - i,))] = c
-    return SuperPolynomial(ZZ, p, terms)
+    return SuperPolynomial(p, terms)
 
 
 def torsion_certificate_tp(p: int, N: int,
@@ -76,8 +76,7 @@ def torsion_certificate_tp(p: int, N: int,
                degrees == {deg}, tp.text(pres))
 
     image = apply_d(pres, tp)
-    mod_p = image.map_ring(prime_field(p))
-    report.add(f"(a) d(t_{p}) = 0 mod {p}", mod_p.is_zero(),
+    report.add(f"(a) d(t_{p}) = 0 mod {p}", image.mod(p).is_zero(),
                image.text(pres))
     report.add(f"(a') d(t_{p}) != 0 over Z", not image.is_zero())
 
@@ -104,7 +103,7 @@ def _named_class_A() -> SuperPolynomial:
         exp = [0] * 5
         exp[i] = 1
         terms[Monomial(tuple(exp), odd)] = c
-    return SuperPolynomial(ZZ, 5, terms)
+    return SuperPolynomial(5, terms)
 
 
 def _named_class_B() -> SuperPolynomial:
@@ -119,7 +118,7 @@ def _named_class_B() -> SuperPolynomial:
         for i in evens:
             exp[i] += 1
         terms[Monomial(tuple(exp), (j,))] = c
-    return SuperPolynomial(ZZ, 6, terms)
+    return SuperPolynomial(6, terms)
 
 
 def _matches_up_to_sign(got, want):
@@ -163,10 +162,10 @@ def verify_named_class(name: str) -> CertificateReport:
                ok, f"d({name}) = {image.text(pres)}"
                + (f" (global unit {unit})" if ok else ""))
     report.add(f"{name} is a cycle mod {p}",
-               image.map_ring(prime_field(p)).is_zero())
+               image.mod(p).is_zero())
 
     if name == "B":
-        diff = (cls - pres.gen("x2") * mu(5, 6, 3)).map_ring(prime_field(5))
+        diff = (cls - pres.gen("x2") * mu(5, 6, 3)).mod(5)
         report.add("B = x2*mu_5 mod 5", diff.is_zero(),
                    "difference reduces to 0 mod 5")
     return report
@@ -250,8 +249,8 @@ def generator_saturation_check(n: int, N: int,
     for k in range(1, n):
         mk = mu(k, n, N)
         mus.append((mk, Degree(2 * N + 2 * k + 2, 2 * k + 1)))
-    products = {Degree(0, 0): [pres.one(ZZ)]}
-    frontier = [(pres.one(ZZ), Degree(0, 0), 0)]
+    products = {Degree(0, 0): [pres.one()]}
+    frontier = [(pres.one(), Degree(0, 0), 0)]
     pool = gens + mus
     while frontier:
         poly, deg, start = frontier.pop()

@@ -19,8 +19,16 @@ from .series import SeriesWindow, assemble_torus2, assemble_torus3, expand, \
 from . import certify
 
 
+def _int_arg(text: str) -> int:
+    """read_int for argparse: the error names the value, not a function."""
+    try:
+        return read_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _parse_N(tag: str):
-    return "homfly" if tag == "homfly" else read_int(tag)
+    return "homfly" if tag == "homfly" else _int_arg(tag)
 
 
 def _build_parser():
@@ -31,7 +39,7 @@ def _build_parser():
     sub = top.add_subparsers(dest="command", required=True)
 
     h = sub.add_parser("homology", help="compute a homology table")
-    h.add_argument("--n", type=read_int,
+    h.add_argument("--n", type=_int_arg,
                    help="number of strands (stable model)")
     h.add_argument("--N", type=_parse_N, default=2,
                    help="SL(N) rank, 0 for d_0, or 'homfly'")
@@ -40,26 +48,26 @@ def _build_parser():
     h.add_argument("--reduced", action="store_true")
     h.add_argument("--tableau", choices=PROJECTOR_SHAPES,
                    help="projector algebra instead of the stable model")
-    h.add_argument("--tmax", type=read_int, required=True)
-    h.add_argument("--tmin", type=read_int, default=0)
-    h.add_argument("--qmax", type=read_int, required=True)
-    h.add_argument("--qmin", type=read_int, default=0)
+    h.add_argument("--tmax", type=_int_arg, required=True)
+    h.add_argument("--tmin", type=_int_arg, default=0)
+    h.add_argument("--qmax", type=_int_arg, required=True)
+    h.add_argument("--qmin", type=_int_arg, default=0)
     h.add_argument("--out", help="write the table to a file")
 
     s = sub.add_parser("series", help="closed-form series and assemblies")
     s.add_argument("--formula", help="catalogue name; see --list")
     s.add_argument("--list", action="store_true",
                    help="list catalogue formula names")
-    s.add_argument("--torus2", type=read_int, metavar="M",
+    s.add_argument("--torus2", type=_int_arg, metavar="M",
                    help="assemble the (2, M) torus knot series")
-    s.add_argument("--torus3", type=read_int, metavar="M",
+    s.add_argument("--torus3", type=_int_arg, metavar="M",
                    help="assemble the (3, M) torus knot series")
     s.add_argument("--N", type=_parse_N, default=None)
-    s.add_argument("--n", type=read_int, help="strand parameter (P_ZN)")
+    s.add_argument("--n", type=_int_arg, help="strand parameter (P_ZN)")
     s.add_argument("--reduced", action="store_true")
-    s.add_argument("--expand", type=read_int, metavar="TMAX",
+    s.add_argument("--expand", type=_int_arg, metavar="TMAX",
                    help="expand through homological degree TMAX")
-    s.add_argument("--qmax", type=read_int, default=None)
+    s.add_argument("--qmax", type=_int_arg, default=None)
     s.add_argument("--check-identities", action="store_true",
                    help="verify the projector sum identities")
 
@@ -67,9 +75,9 @@ def _build_parser():
     c.add_argument("--name", required=True,
                    help="tp:<p>,<N> | A | B | reduced:<n>,<N> "
                         "| generators:<n>,<N>")
-    c.add_argument("--tmax", type=read_int, default=10,
+    c.add_argument("--tmax", type=_int_arg, default=10,
                    help="window height for windowed certificates")
-    c.add_argument("--qmax", type=read_int, default=None)
+    c.add_argument("--qmax", type=_int_arg, default=None)
     c.add_argument("--skip-homology", action="store_true",
                    help="skip the integral homology check in tp certificates")
 
@@ -240,11 +248,10 @@ def _cmd_compare(args) -> int:
         model = HomologyTable.parse(fh.read())
     with open(args.data) as fh:
         ext = parse_table(fh.read())
-    shift = args.shift if args.shift == "auto" else read_int(args.shift)
     primes = None
     if args.torsion_primes:
         primes = {read_int(x) for x in args.torsion_primes.split(",")}
-    report = compare(model, ext, shift, torsion_primes=primes)
+    report = compare(model, ext, args.shift, torsion_primes=primes)
     print(report.text())
     return 0 if report.agree else 1
 

@@ -2,16 +2,16 @@
 
 Covers the stable Koszul model on n strands, its reduced variant
 (x_0 = 0), and the six Young-tableau projector algebras with their
-d_N and d_0 differentials.  Differential images are stored over Z and
-mapped into the working ring at the point of use.
+d_N and d_0 differentials.  Differential images are integer
+polynomials; homology reduces its matrices mod p, not the images.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .algebra import (Degree, Monomial, StructuralError, SuperPolynomial, ZZ,
-                      mono_degree, one_monomial)
+from .algebra import (Degree, Monomial, StructuralError, SuperPolynomial,
+                      mono_degree)
 
 PROJECTOR_SHAPES = ("[12]", "[1,2]", "[123]", "[1,2,3]", "[12,3]", "[13,2]")
 HOMFLY = "homfly"
@@ -59,28 +59,21 @@ class Presentation:
                 if got != want:
                     self.homogeneity_violations.append(
                         (self.odd_symbols[j], want, got))
-        # d^2 = 0 holds whenever images are even; check it anyway
-        for j in range(self.n_odd):
-            xi = SuperPolynomial.from_monomial(
-                ZZ, Monomial((0,) * self.n_even, (j,)))
-            if not apply_d(self, apply_d(self, xi)).is_zero():
-                raise ValueError(
-                    f"d^2 of {self.odd_symbols[j]} is not zero")
 
-    def one(self, ring):
-        return SuperPolynomial.one(ring, self.n_even)
+    def one(self):
+        return SuperPolynomial.one(self.n_even)
 
-    def gen(self, symbol, ring=ZZ) -> SuperPolynomial:
+    def gen(self, symbol) -> SuperPolynomial:
         """The generator with the given symbol as a polynomial."""
         if symbol in self.even_symbols:
             i = self.even_symbols.index(symbol)
             exp = [0] * self.n_even
             exp[i] = 1
-            return SuperPolynomial.from_monomial(ring, Monomial(tuple(exp)))
+            return SuperPolynomial.from_monomial(Monomial(tuple(exp)))
         if symbol in self.odd_symbols:
             j = self.odd_symbols.index(symbol)
             return SuperPolynomial.from_monomial(
-                ring, Monomial((0,) * self.n_even, (j,)))
+                Monomial((0,) * self.n_even, (j,)))
         raise KeyError(symbol)
 
 
@@ -90,10 +83,9 @@ def apply_d(pres: Presentation, p: SuperPolynomial) -> SuperPolynomial:
     Sign convention d(ab) = d(a)b + (-1)^|a| a d(b): the l-th odd factor
     (ascending index order) contributes with sign (-1)^l.
     """
-    ring = p.ring
     if p.n_even != pres.n_even:
         raise StructuralError("polynomial not over this presentation")
-    out = SuperPolynomial.zero(ring, pres.n_even)
+    out = SuperPolynomial.zero(pres.n_even)
     for m, c in p.terms.items():
         for l, j in enumerate(m.odd):
             img = pres.d_images[j]
@@ -101,20 +93,19 @@ def apply_d(pres: Presentation, p: SuperPolynomial) -> SuperPolynomial:
                 continue
             rest = Monomial(m.even, m.odd[:l] + m.odd[l + 1:])
             sign = -1 if l % 2 else 1
-            out = out + (img.map_ring(ring)
-                         * SuperPolynomial.from_monomial(ring, rest, sign * c))
+            out = out + img * SuperPolynomial.from_monomial(rest, sign * c)
     return out
 
 
 def _power_series_xN(n: int, N: int):
     """Coefficients of x(tau)^N mod tau^n as even polynomials over Z."""
-    one = SuperPolynomial.one(ZZ, n)
-    zero = SuperPolynomial.zero(ZZ, n)
+    one = SuperPolynomial.one(n)
+    zero = SuperPolynomial.zero(n)
     xs = []
     for i in range(n):
         exp = [0] * n
         exp[i] = 1
-        xs.append(SuperPolynomial.from_monomial(ZZ, Monomial(tuple(exp))))
+        xs.append(SuperPolynomial.from_monomial(Monomial(tuple(exp))))
     coeffs = [one] + [zero] * (n - 1)
     for _ in range(N):
         nxt = [zero] * n
@@ -157,7 +148,7 @@ def reduced_presentation(n: int, N: int) -> Presentation:
             if m.even[0]:
                 continue
             terms[Monomial(m.even[1:], tuple(i - 1 for i in m.odd))] = c
-        images.append(SuperPolynomial(ZZ, n - 1, terms))
+        images.append(SuperPolynomial(n - 1, terms))
     return Presentation(f"reduced(n={n},N={N})",
                         full.even_symbols[1:], full.even_degrees[1:],
                         full.odd_symbols[1:], full.odd_degrees[1:], images)
@@ -195,7 +186,7 @@ def _projector_images(shape: str, N: int, xi0_variant: str):
     def mono(coeff, **exps):
         syms = _PROJECTOR_GENS[shape][0]
         exp = tuple(exps.get(s, 0) for s in syms)
-        return SuperPolynomial.from_monomial(ZZ, Monomial(exp), coeff)
+        return SuperPolynomial.from_monomial(Monomial(exp), coeff)
 
     if shape == "[12]":
         return [mono(1, x0=N), mono(N, x0=N - 1, x1=1)]
@@ -255,7 +246,7 @@ def projector_presentation(shape: str, N, xi0_variant: str = "corrected"
         exp = tuple(img_exps.get(s, 0) for s in ev_s)
         images = [None] * len(od_s)
         images[od_s.index(target)] = SuperPolynomial.from_monomial(
-            ZZ, Monomial(exp))
+            Monomial(exp))
         # regraded a = t^{-1}, as d_N regrades a = q^N
         od_d = [Degree(d.q, d.t - d.a) for d in od_d]
         return Presentation(f"projector({shape},d0,reduced)", ev_s, ev_d,
@@ -289,4 +280,4 @@ def mu(k: int, n: int, N: int) -> SuperPolynomial:
         exp = [0] * n
         exp[i] = 1
         terms[Monomial(tuple(exp), (j,))] = c
-    return SuperPolynomial(ZZ, n, terms)
+    return SuperPolynomial(n, terms)

@@ -217,7 +217,7 @@ def test_criterion_10_property_suites():
         pres = stable_presentation(4, 3)
         for basis in window_bases(pres, Window(0, 24, 0, 9)).values():
             for m in basis.monomials:
-                p = SuperPolynomial.from_monomial(ZZ, m)
+                p = SuperPolynomial.from_monomial(m)
                 assert apply_d(pres, apply_d(pres, p)).is_zero()
 
         # Euler characteristic column sums

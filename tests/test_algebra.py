@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from koszulknots.algebra import (CoefficientRing, Degree, Monomial, QQ,
-                                 SuperPolynomial, ZZ, grading_functional,
-                                 mono_degree, mono_mul, prime_field,
-                                 read_int)
-from koszulknots.presentations import stable_presentation
+                                 StructuralError, SuperPolynomial, ZZ,
+                                 grading_functional, mono_degree, mono_mul,
+                                 prime_field, read_int)
+from koszulknots.presentations import apply_d, stable_presentation
 
 
 # ---------------------------------------------------------------------------
@@ -29,12 +29,12 @@ monomials = st.builds(
 )
 
 
-def poly(ring, terms):
-    return SuperPolynomial(ring, N_EVEN, {m: c for m, c in terms.items() if c})
+def poly(terms):
+    return SuperPolynomial(N_EVEN, terms)
 
 
 polys = st.builds(
-    lambda pairs: poly(ZZ, dict(pairs)),
+    lambda pairs: poly(dict(pairs)),
     st.lists(st.tuples(monomials, st.integers(-5, 5)), max_size=5),
 )
 
@@ -96,26 +96,8 @@ def test_read_int_rejects_other_spellings(text):
 # ---------------------------------------------------------------------------
 # coefficient rings
 
-def test_ring_normalization():
-    f5 = prime_field(5)
-    assert f5.normalize(7) == 2
-    assert f5.normalize(-1) == 4
-    assert ZZ.normalize(7) == 7
-    assert QQ.is_field and f5.is_field and not ZZ.is_field
-
-
-def test_ring_normalizes_rationals():
-    f5 = prime_field(5)
-    assert f5.normalize(Fraction(3, 2)) == 4  # 3 * 2^-1 = 3 * 3 mod 5
-    assert f5.normalize(Fraction(10, 5)) == 2
-    with pytest.raises(ZeroDivisionError, match="not invertible mod p"):
-        f5.normalize(Fraction(1, 5))
-    assert ZZ.normalize(Fraction(6, 3)) == 2
-    assert type(ZZ.normalize(Fraction(6, 3))) is int
-    with pytest.raises(ValueError, match="is not an integer"):
-        ZZ.normalize(Fraction(1, 2))
-    half = Fraction(1, 2)
-    assert QQ.normalize(half) is half and QQ.normalize(7) == 7
+def test_ring_is_field():
+    assert QQ.is_field and prime_field(5).is_field and not ZZ.is_field
 
 
 def test_prime_field_requires_prime():
@@ -216,7 +198,7 @@ def test_mono_degree_stable_model():
 def test_poly_supercommutativity_on_homogeneous_parts(p1, p2):
     """ab = ba whenever either factor has even terms only (sufficient here:
     full graded commutativity is checked monomial-wise above)."""
-    even1 = poly(ZZ, {m: c for m, c in p1.terms.items() if m.parity == 0})
+    even1 = poly({m: c for m, c in p1.terms.items() if m.parity == 0})
     assert (even1 * p2).terms == (p2 * even1).terms
 
 
@@ -226,28 +208,34 @@ def test_poly_distributivity(p1, p2, p3):
     assert (p1 * (p2 + p3)).terms == (p1 * p2 + p1 * p3).terms
 
 
-def test_poly_ring_mismatch_rejected():
-    a = poly(ZZ, {Monomial((0, 0, 0)): 1})
-    b = poly(QQ, {Monomial((0, 0, 0)): 1})
-    with pytest.raises(ValueError):
-        a + b
+def test_presentation_mismatch_raises_structural_error():
+    """Sums and products of polynomials over different presentations, and
+    apply_d on a polynomial of another presentation, raise StructuralError."""
+    a = poly({Monomial((0, 0, 0)): 1})
+    b = SuperPolynomial(2, {Monomial((0, 0)): 1})
+    for op in (lambda: a + b, lambda: a * b, lambda: b - a):
+        with pytest.raises(StructuralError, match="presentation mismatch"):
+            op()
+    with pytest.raises(StructuralError, match="not over this presentation"):
+        apply_d(stable_presentation(2, 2), a)
 
 
-def test_map_ring_reduces_coefficients():
-    p = poly(ZZ, {Monomial((1, 0, 0)): 6, Monomial((0, 1, 0)): 5})
-    q = p.map_ring(prime_field(3))
-    assert q.terms == {Monomial((0, 1, 0)): 2}
+def test_mod_reduces_coefficients():
+    p = poly({Monomial((1, 0, 0)): 6, Monomial((0, 1, 0)): 5,
+              Monomial((0, 0, 1)): -1})
+    assert p.mod(3).terms == {Monomial((0, 1, 0)): 2, Monomial((0, 0, 1)): 2}
+    assert p.mod(3).n_even == N_EVEN and p.terms[Monomial((1, 0, 0))] == 6
+    assert poly({Monomial((1, 0, 0)): -10}).mod(5).is_zero()
 
 
 def test_scaled_drops_zeros():
-    p = poly(ZZ, {Monomial((1, 0, 0)): 2})
+    p = poly({Monomial((1, 0, 0)): 2})
     assert p.scaled(0).is_zero()
 
 
 def test_text_rendering():
     pres = stable_presentation(2, 2)
-    p = SuperPolynomial(
-        ZZ, 2, {Monomial((2, 0), (0,)): -3, Monomial((0, 1)): 1})
+    p = SuperPolynomial(2, {Monomial((2, 0), (0,)): -3, Monomial((0, 1)): 1})
     s = p.text(pres)
     assert "x0" in s and "xi0" in s and "-3" in s
 

@@ -80,9 +80,13 @@ def test_homology_usage_errors(capsys):
 ])
 def test_integer_options_are_read_strictly(capsys, args, option):
     """int() would read 0_2 as 2 and +4 as 4: every integer option goes
-    through read_int, and a bad one exits 2 naming the option."""
+    through read_int, and a bad one exits 2 naming the option and the
+    value, not the converter."""
     code, out, err = run(capsys, *args)
     assert code == 2 and out == "" and f"argument {option}:" in err
+    bad = args[args.index(option) + 1]
+    assert f"non-integer entry {bad!r}" in err
+    assert "_parse_N" not in err and "read_int" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -313,7 +313,7 @@ def _degenerate():
     return Presentation(
         "degenerate", ("u", "v"), (Degree(2, 0), Degree(-2, 0)),
         ("e",), (Degree(0, 1),),
-        [SuperPolynomial.zero(ZZ, 2)])
+        [SuperPolynomial.zero(2)])
 
 
 def _edges(window):
@@ -523,7 +523,7 @@ def test_d_matrix_matches_apply_d(pres, inhomogeneous, window):
         row = {m: r for r, m in enumerate(dst)}
         want = {}
         for col, m in enumerate(src):
-            image = apply_d(pres, SuperPolynomial.from_monomial(ZZ, m))
+            image = apply_d(pres, SuperPolynomial.from_monomial(m))
             for target, v in image.terms.items():
                 if target in row:
                     want[(row[target], col)] = v
@@ -542,7 +542,7 @@ def _apply_d_entries(pres, src, dst):
     row = {m: r for r, m in enumerate(dst)}
     return {(row[target], col): v for col, m in enumerate(src)
             for target, v in apply_d(
-                pres, SuperPolynomial.from_monomial(ZZ, m)).terms.items()
+                pres, SuperPolynomial.from_monomial(m)).terms.items()
             if target in row}
 
 
@@ -553,7 +553,7 @@ def _high_image():
     alone (6) would carry x^3 xi -> x^10 into u x^4, a row at (6, 1)."""
     return Presentation("high-image", ("u", "x"), (Degree(2, 1), Degree(1, 0)),
                         ("xi",), (Degree(3, 2),),
-                        [SuperPolynomial(ZZ, 2, {Monomial((0, 7)): 1})])
+                        [SuperPolynomial(2, {Monomial((0, 7)): 1})])
 
 
 @pytest.mark.parametrize("pres,window", [
@@ -796,7 +796,7 @@ def _two_variables(name, images, odd_degrees):
     return Presentation(
         name, ("x", "y"), (Degree(2, 0), Degree(2, 2)),
         tuple(f"e{j}" for j in range(len(images))), odd_degrees,
-        [SuperPolynomial(ZZ, 2, {Monomial(f): c for f, c in img.items()})
+        [SuperPolynomial(2, {Monomial(f): c for f, c in img.items()})
          for img in images])
 
 
@@ -818,7 +818,7 @@ def _quotient_edge_cases():
     # d(theta2) = 1: R/(1) = 0, every group vanishes
     yield projector_presentation("[1,2,3]", 2), [0, 2]
     yield Presentation("one", (), (), ("e",), (Degree(0, 1),),
-                       [SuperPolynomial.one(ZZ, 0)]), [0]
+                       [SuperPolynomial.one(0)]), [0]
     # the reduced d0 image x1 b2 has mixed support and stays
     yield projector_presentation("[12,3]", 0), []
     # the displayed xi0 image x0^(N-1) is a unit of the wrong degree
@@ -860,7 +860,7 @@ def test_quotient_keeps_the_non_proper_grading_witness():
     pres = Presentation(
         "degenerate-unit", ("u", "v"), (Degree(2, 0), Degree(-2, 0)),
         ("e",), (Degree(2, 1),),
-        [SuperPolynomial.from_monomial(ZZ, Monomial((1, 0)))])
+        [SuperPolynomial.from_monomial(Monomial((1, 0)))])
     with pytest.raises(NonProperGradingError, match=r"witness: u\*v\)"):
         homology_table(pres, QQ, Window(0, 0, 0, 0))
 

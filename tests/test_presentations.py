@@ -3,11 +3,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from koszulknots.algebra import (Degree, Monomial, SuperPolynomial, ZZ,
-                                 mono_degree)
+from koszulknots.algebra import Degree, Monomial, SuperPolynomial, mono_degree
 from koszulknots.homology import Window, window_bases
-from koszulknots.presentations import (HOMFLY, PROJECTOR_SHAPES, apply_d, mu,
-                                       projector_presentation,
+from koszulknots.presentations import (HOMFLY, PROJECTOR_SHAPES, Presentation,
+                                       apply_d, mu, projector_presentation,
                                        reduced_presentation,
                                        stable_presentation)
 
@@ -43,7 +42,7 @@ def window_monomials(pres, tmax=25, qmax=40, qmin=-40, tmin=-10):
 def test_d_squared_zero_on_window(pres):
     count = 0
     for m in window_monomials(pres):
-        p = SuperPolynomial.from_monomial(ZZ, m)
+        p = SuperPolynomial.from_monomial(m)
         assert apply_d(pres, apply_d(pres, p)).is_zero()
         count += 1
         if count >= 400:
@@ -67,8 +66,8 @@ def test_leibniz_rule_on_window(pres):
             break
     for a in sample:
         for b in sample:
-            pa = SuperPolynomial.from_monomial(ZZ, a)
-            pb = SuperPolynomial.from_monomial(ZZ, b)
+            pa = SuperPolynomial.from_monomial(a)
+            pb = SuperPolynomial.from_monomial(b)
             lhs = apply_d(pres, pa * pb)
             sign = -1 if a.parity else 1
             rhs = apply_d(pres, pa) * pb + (pa * apply_d(pres, pb)).scaled(
@@ -165,6 +164,15 @@ def test_displayed_xi0_variant_flags_inhomogeneity():
     assert good.homogeneity_violations == []
     bad = projector_presentation("[13,2]", 3, xi0_variant="displayed")
     assert bad.homogeneity_violations != []
+
+
+def test_odd_image_is_refused():
+    """d(e1) = x e0 has an odd factor: the presentation refuses it and
+    names e1."""
+    odd_image = SuperPolynomial(1, {Monomial((1,), (0,)): 1})
+    with pytest.raises(ValueError, match="image of e1 is not purely even"):
+        Presentation("odd-image", ("x",), (Degree(2, 0),), ("e0", "e1"),
+                     (Degree(4, 1), Degree(6, 2)), [None, odd_image])
 
 
 def test_hook_12_3_differential():

@@ -551,6 +551,25 @@ def test_assembly_expansion_matches_polynomial():
         assert got == want
 
 
+@pytest.mark.parametrize("N", [2, 3, 4])
+@pytest.mark.parametrize("m", [10, 20, 31, 40])
+def test_torus3_assembly_has_the_stable_limit(m, N):
+    """Stable-limit oracle: below t = 4 floor(m/3) the unreduced d_N
+    assembly of T(3, m) agrees with the three-strand stable series, both
+    shifted so their lowest term sits at (0, 0), for every q up to the
+    assembly's largest q there."""
+    tcut = 4 * (m // 3)
+    asm = {(q, t): c for (q, t), c in normalize_lowest(
+        assemble_torus3(m, N).polynomial).coefficients_qt().items()
+        if t < tcut}
+    window = SeriesWindow(0, tcut - 1, min(q for q, _t in asm),
+                          max(q for q, _t in asm))
+    stable = normalize_lowest(LaurentPoly({
+        (q, t, 0): c for (q, t), c in expand(stable_series(3, N),
+                                             window).items()}))
+    assert len(asm) >= 16 and stable.coefficients_qt() == asm
+
+
 def test_finish_sums_over_common_factor_list():
     # 1/(1-q^2)^2 + q^2/(1-q^-2): the second factor is -q^-2 (1-q^2) and
     # the common denominator is (1-q^2)^2, not (1-q^2)^2 (1-q^-2)
