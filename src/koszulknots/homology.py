@@ -21,7 +21,7 @@ homology_table is the one homology path: one enumeration, one pass that
 takes each matrix's rank or Smith form once and one that forms the
 groups, on the complex's quotient by its regular sequence of unit powers
 of distinct variables; homology_at is homology_table on a one-degree
-window.
+window.  Maps whose keys differ by one multiple of C share one matrix.
 """
 
 from __future__ import annotations
@@ -615,6 +615,12 @@ def homology_table(pres: Presentation, ring: CoefficientRing, window: Window
     reported at deg, the degree of the extra mod-p cycles it produces (its
     cokernel representative lives one t lower).
 
+    Each result is kept per translation class: the mode (rank or Smith
+    form), k0 % C for the first source key k0 and C odd parts, and the
+    source and target keys less k0.  d_matrix reads a source key only
+    through key % C and index.get(key + delta), so moving every key of
+    both sides by K = 0 mod C gives the same matrix, entry for entry.
+
     The complex is reduced first: the images that are powers +-x_k^e of
     their own degree with distinct k (taken greedily in generator order)
     form a regular sequence f_j over Z and every F_p, and for a
@@ -626,18 +632,21 @@ def homology_table(pres: Presentation, ring: CoefficientRing, window: Window
     qmin, qmax, tmin, tmax = astuple(window)
     # (q, t) -> (rank, torsion) of the matrix out of (q, t), torsion over Z
     # inside the window only; a plain (q, t, 0) finds its Degree in bases
-    out = {}
+    out, done = {}, {}
     for deg, src in bases.items():
         q, t, a = deg
         if (a or not (qmin <= q <= qmax and tmin <= t <= tmax + 1)
                 or (dst := bases.get((q, t - 1, 0))) is None):
             continue
-        mat = d_matrix(pres, deg, src, dst)
-        if ring.is_field or t > tmax:
-            out[q, t] = matrix_rank(mat, ring), ()
-        else:
-            factors = smith_normal_form(mat)[0]
-            out[q, t] = len(factors), tuple(f for f in factors if f > 1)
+        k0, rank = src.keys[0], ring.is_field or t > tmax
+        key = (rank, k0 % len(src.layout[0]), tuple(k - k0 for k in src.keys),
+               tuple(k - k0 for k in dst.keys))
+        if key not in done:
+            mat = d_matrix(pres, deg, src, dst)
+            factors = ([1] * matrix_rank(mat, ring) if rank
+                       else smith_normal_form(mat)[0])
+            done[key] = len(factors), tuple(f for f in factors if f > 1)
+        out[q, t] = done[key]
     groups = {}
     for deg, b in bases.items():
         q, t, a = deg

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -164,30 +165,35 @@ def test_rank_over_q_without_unit_entries(mat):
         assert rest == {}
 
 
-def _recorded_matrices(monkeypatch, pres, ring, window):
-    """Every d_matrix that homology_table builds for this table."""
-    mats, build = [], homology.d_matrix
+def _outgoing_maps(pres, window):
+    """(q, t, src, dst, d_matrix) for every outgoing map of the window that
+    homology_table takes: a = 0, q in the window, tmin <= t <= tmax + 1 and
+    a basis on both sides, built directly over the quotient bases."""
+    bases = window_bases(pres, window, reduced=True)
+    maps = []
+    for deg, src in bases.items():
+        q, t, a = deg
+        dst = bases.get(Degree(q, t - 1))
+        if (not a and window.qmin <= q <= window.qmax
+                and window.tmin <= t <= window.tmax + 1 and dst is not None):
+            maps.append((q, t, src, dst, d_matrix(pres, deg, src, dst)))
+    return maps
 
-    def record(*args, **kw):
-        mats.append(build(*args, **kw))
-        return mats[-1]
 
-    monkeypatch.setattr(homology, "d_matrix", record)
-    homology_table(pres, ring, window)
-    monkeypatch.setattr(homology, "d_matrix", build)
-    return mats
+def _table_matrices(pres, window):
+    return [mat for *_, mat in _outgoing_maps(pres, window)]
 
 
-def test_field_ranks_match_smith_factors_on_table_matrices(monkeypatch):
+def test_field_ranks_match_smith_factors_on_table_matrices():
     """On the matrices of the hook_Q and T(5,9) tables, the row echelon
     rank over Q is the number of Smith factors over Z, and the rank mod p
     the number of Smith factors that p does not divide."""
-    mats = _recorded_matrices(monkeypatch,
-                              projector_presentation("[12,3]", 3), QQ,
-                              Window(-60, 60, -12, 12))
+    mats = _table_matrices(projector_presentation("[12,3]", 3),
+                           Window(-60, 60, -12, 12))
     assert len(mats) == 752
-    mats += _recorded_matrices(monkeypatch, stable_presentation(5, 3), ZZ,
-                               Window(0, 72, 0, 26))
+    t59 = _table_matrices(stable_presentation(5, 3), Window(0, 72, 0, 26))
+    assert len(t59) == 176
+    mats += t59
     for mat in mats:
         factors = smith_normal_form(mat)[0]
         assert rank_exact(mat) == len(factors)
@@ -256,11 +262,10 @@ def test_snf_known_example():
         assert check_smith_certificate(mat) == factors
 
 
-def test_snf_certificate_on_table_matrices(monkeypatch):
+def test_snf_certificate_on_table_matrices():
     """U * M * V = D on every matrix of a small table over Z: the loop
     that records U and V is the one the tables run."""
-    mats = _recorded_matrices(monkeypatch, stable_presentation(4, 3), ZZ,
-                              Window(0, 40, 0, 14))
+    mats = _table_matrices(stable_presentation(4, 3), Window(0, 40, 0, 14))
     assert len(mats) == 57
     factors = set()
     for mat in mats:
@@ -425,10 +430,11 @@ def test_hook_window_stays_in_exponent_pairs(monkeypatch):
     assert built == [0]
     [found] = bases
     assert sum(len(b.exps) for b in found.values()) == 4494
-    # 782 matrices leave the window's nonempty degrees and their neighbours
-    # one t-step up; the 30 with no basis on one side are never built
-    assert len(nnz) == 752
-    assert sum(nnz) == 2858
+    # 782 maps leave the window's nonempty degrees and their neighbours one
+    # t-step up; the 30 with no basis on one side are never built, and the
+    # other 752 fall into 19 translation classes, one matrix each
+    assert len(nnz) == 19
+    assert sum(nnz) == 43
     assert all(e[0] < 3 and 0 not in o
                for b in found.values() for e, o in b.exps)
     assert all(a < b for basis in found.values()
@@ -789,6 +795,98 @@ PINNED_TABLES = (
 def test_pinned_tables_are_byte_identical(build, ring, window, digest):
     text = homology_table(build(), ring, window).serialize()
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _residues():
+    """No even generator and d(e_j) = 2 for e0, e1, e2 of degrees (2, 1),
+    (0, 1), (-2, 1), inhomogeneous.  The maps e0 e2 -> e1 and e1 e2 -> e2
+    have the same key offsets, +1, but odd parts of codes 4 and 6 mod 8:
+    the first is 0, the second 2, so k0 % C must be part of the class."""
+    return Presentation("residues", (), (), ("e0", "e1", "e2"),
+                        (Degree(2, 1), Degree(0, 1), Degree(-2, 1)),
+                        [SuperPolynomial(0, {Monomial(()): 2})] * 3)
+
+
+def _twos():
+    """d(e) = 2 over Z[x], x of degree (-2, -2) and e of (0, 1): every map
+    x^a e -> x^a is in one class.  The walk meets e at t = 1 before x e at
+    t = -1, so on t <= 0 the rank of the first must not stand in for the
+    Smith form, and its Z/2, of the second."""
+    return Presentation("twos", ("x",), (Degree(-2, -2),), ("e",),
+                        (Degree(0, 1),),
+                        [SuperPolynomial(1, {Monomial((0,)): 2})])
+
+
+# (presentation, window, maps, translation classes): the benchmark tables,
+# small tables over Z (stable(3,3) has maps whose classes differ only in
+# their targets), the inhomogeneous displayed xi0 image, a reduced d0
+# projector, whose mixed unit image x1 b2 stays in the complex, _residues
+# and _twos
+CLASS_CASES = (
+    (projector_presentation("[12,3]", 3), Window(-60, 60, -12, 12), 752, 19),
+    (stable_presentation(5, 3), Window(0, 72, 0, 26), 176, 144),
+    (stable_presentation(4, 3), Window(0, 40, 0, 14), 57, 51),
+    (stable_presentation(3, 3), Window(0, 40, 0, 14), 50, 32),
+    (projector_presentation("[13,2]", 3, "displayed"),
+     Window(-40, 40, -10, 10), 415, 136),
+    (projector_presentation("[12,3]", 0), Window(-40, 40, -10, 10), 436, 3),
+    (_residues(), Window(-4, 4, 0, 3), 5, 5),
+    (_twos(), Window(-8, 8, -4, 0), 3, 1),
+)
+CLASS_IDS = ["hook_Q", "T59", "stable43", "stable33", "displayed",
+             "d0_reduced", "residues", "twos"]
+
+
+def _class_key(src, dst):
+    """A map's translation class, less homology_table's rank/Smith mode:
+    the first source key k0 mod C (the number of odd parts) and both sides'
+    keys less k0."""
+    k0 = src.keys[0]
+    return (k0 % len(src.layout[0]), tuple(k - k0 for k in src.keys),
+            tuple(k - k0 for k in dst.keys))
+
+
+@pytest.mark.parametrize("pres,window,maps,classes", CLASS_CASES,
+                         ids=CLASS_IDS)
+def test_translation_classes_share_one_matrix(pres, window, maps, classes):
+    """Maps whose keys differ by one multiple of C have one matrix."""
+    groups = defaultdict(list)
+    for _q, _t, src, dst, mat in _outgoing_maps(pres, window):
+        groups[_class_key(src, dst)].append(mat)
+    assert sum(map(len, groups.values())) == maps
+    assert len(groups) == classes
+    for members in groups.values():
+        assert all(m == members[0] for m in members)
+
+
+def _per_map_table(pres, ring, window):
+    """serialize() of homology_table computed with one rank, or over Z
+    inside the window one Smith form, per outgoing map, with no memo."""
+    out = {}
+    for q, t, _src, _dst, mat in _outgoing_maps(pres, window):
+        if ring.is_field or t > window.tmax:
+            out[q, t] = homology.matrix_rank(mat, ring), ()
+        else:
+            factors = smith_normal_form(mat)[0]
+            out[q, t] = len(factors), tuple(f for f in factors if f > 1)
+    groups = {}
+    for deg, b in window_bases(pres, window, reduced=True).items():
+        if not deg.a and window.contains(deg):
+            rank, torsion = out.get((deg.q, deg.t), (0, ()))
+            free = len(b.keys) - rank - out.get((deg.q, deg.t + 1), (0,))[0]
+            if free or torsion:
+                groups[deg] = HomologyGroup(free, torsion)
+    return HomologyTable(pres.name, ring, window, groups).serialize()
+
+
+@pytest.mark.parametrize("pres,window,maps,classes", CLASS_CASES,
+                         ids=CLASS_IDS)
+def test_table_matches_per_map_reference(pres, window, maps, classes):
+    """The class memo changes no group over Q, Z or F3, the Z row at
+    t = tmax + 1 (a rank, not a Smith form) included."""
+    for ring in (QQ, ZZ, F3):
+        assert homology_table(pres, ring, window).serialize() \
+            == _per_map_table(pres, ring, window), ring
 
 
 def _two_variables(name, images, odd_degrees):

@@ -1,5 +1,7 @@
 """Closed-form series: catalogue, expansion, assemblies."""
 
+from math import gcd
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -701,3 +703,86 @@ def test_torus3_d0_is_the_hf_staircase():
     for m in ms:
         poly = assemble_torus3(m, 0, reduced=True).polynomial
         assert poly == _staircase(_alexander_torus3(m)), m
+
+
+# ---------------------------------------------------------------------------
+# Rosso-Jones oracle: at t = -1 an unreduced sl_N series is the quantum sl_N
+# invariant of the knot, which for a coprime torus knot is a sum over hooks
+# (Rosso and Jones, "On the invariants of torus knots derived from quantum
+# groups", J. Knot Theory Ramifications 2 (1993)); Laurent polynomials in q
+# are {exponent: coefficient} dicts here
+
+def _qmul(f, g):
+    out = {}
+    for a, x in f.items():
+        for b, y in g.items():
+            out[a + b] = out.get(a + b, 0) + x * y
+    return {e: c for e, c in out.items() if c}
+
+
+def _qdiv(f, g):
+    """f / g by long division, for a g with leading coefficient 1 that
+    divides f."""
+    f, quo, top = dict(f), {}, max(g)
+    lowest = min(f, default=0) - min(g)
+    while f:
+        e, c = max(f) - top, f[max(f)]
+        assert e >= lowest, "inexact division"
+        quo[e] = c
+        for k, v in g.items():
+            f[k + e] = f.get(k + e, 0) - c * v
+            if not f[k + e]:
+                del f[k + e]
+    return quo
+
+
+def _qint(k):
+    """The quantum integer [k] = (q^k - q^-k) / (q - q^-1), k >= 0."""
+    return {1 - k + 2 * i: 1 for i in range(k)}
+
+
+def _rosso_jones(n, m, N):
+    """Unreduced quantum sl_N invariant of T(n, m), n and m coprime: the sum
+    over the hooks (n - k, 1^k) of (-1)^k q^(2 m kappa / n) times the
+    quantum dimension prod [N + c] / [hook] over the boxes, with contents
+    c = -k .. n - k - 1 summing to kappa, so 2 m kappa / n = m (n - 1 - 2k).
+    """
+    total = {}
+    for k in range(n):
+        dim = den = {0: 1}
+        for c in range(-k, n - k):
+            dim = _qmul(dim, _qint(N + c))
+        for h in (n, *range(1, n - k), *range(1, k + 1)):
+            den = _qmul(den, _qint(h))
+        for e, v in _qdiv(dim, den).items():
+            e += m * (n - 1 - 2 * k)
+            total[e] = total.get(e, 0) + (-1) ** k * v
+    return {e: v for e, v in total.items() if v}
+
+
+def test_rosso_jones_at_sl2():
+    # the unknot T(2, 1) is [2] up to the framing monomial, and the trefoil
+    # T(2, 3) is [2] q^6 V(q^-2) for the Jones polynomial V = t + t^3 - t^4
+    # of the right-handed trefoil
+    assert _rosso_jones(2, 1, 2) == _qmul(_qint(2), {2: 1})
+    assert _rosso_jones(2, 3, 2) == _qmul(_qint(2), {4: 1, 0: 1, -2: -1})
+
+
+@pytest.mark.parametrize("n,assemble,cases", [(2, assemble_torus2, 80),
+                                              (3, assemble_torus3, 108)])
+def test_unreduced_assembly_is_rosso_jones_at_t_minus_1(n, assemble, cases):
+    """At t = -1 the unreduced T(n, m) assembly is the Rosso-Jones invariant
+    mirrored, q -> q^-1, and times q^((n - 1) m + n (N - 1)): one sign and
+    one shift for every N = 2..5 and m < 41 coprime to n."""
+    done = 0
+    for N in range(2, 6):
+        for m in filter(lambda m: gcd(n, m) == 1, range(1, 41)):
+            chi = {}
+            for (q, t, a), c in assemble(m, N).polynomial.terms.items():
+                assert not a
+                chi[q] = chi.get(q, 0) + (-1) ** t * c
+            shift = (n - 1) * m + n * (N - 1)
+            want = {shift - e: v for e, v in _rosso_jones(n, m, N).items()}
+            assert {e: c for e, c in chi.items() if c} == want, (n, m, N)
+            done += 1
+    assert done == cases
