@@ -7,16 +7,19 @@ functional positive on every even generator degree, from the exact
 decision algebra.grading_functional, so every graded piece is whole and
 every table exact; when no such functional exists the graded pieces are
 infinite, and the error names the exact witness, a product of even
-generators of degree zero.  The walk packs each x^e xi_S into one int
-key: e in mixed radix B, e_0 the most significant digit, then the rank of
-S among the odd parts in tuple order, so sorted keys are sorted (even,
-odd) pairs.  B exceeds every walked exponent plus every image exponent,
-so key + packed image exponent never carries: it is the image's key, in
-the basis only for a basis monomial.  d_matrix assembles exact integer
-matrices with one int add and one lookup per image term; GradedBasis
-decodes pairs only when read; apply_d is the term-by-term reference.
-One row echelon loop gives the ranks over Q (fraction-free) and F_p; over Z
-one Smith loop pivots on the +-1 entries, then on the least entries.
+generators of degree zero.  The walk fixes the exponents the quotient
+below caps first, then the steepest generators' (largest |t|, then |q|),
+which the box prunes soonest (hook_Q: 520 nodes, 919 in index order),
+and packs each x^e xi_S into one int key: e in mixed radix B, e_0 the
+most significant digit, then the rank of S among the odd parts in tuple
+order, so sorted keys are sorted (even, odd) pairs in any visit order.
+B exceeds every walked exponent plus every image exponent, so key +
+packed image exponent never carries: it is the image's key, in the basis
+only for a basis monomial.  d_matrix assembles exact integer matrices
+with one int add and one lookup per image term; GradedBasis decodes
+pairs only when read; apply_d is the term-by-term reference.  One row
+echelon loop gives the ranks over Q (fraction-free) and F_p; over Z one
+Smith loop pivots on the +-1 entries, then on the least entries.
 homology_table is the one homology path: one enumeration, one pass that
 takes each matrix's rank or Smith form once and one that forms the
 groups, on the complex's quotient by its regular sequence of unit powers
@@ -151,15 +154,18 @@ def _search(pres: Presentation, corners, reduced: bool = False) -> dict:
 
     Returns Degree -> GradedBasis of the keys of valid Monomials, one
     layout for all, with radix B = 1 + the largest image exponent + the
-    largest budget // the least weight.  The walk is
-    finite because of one budget: the functional lam of grading_functional
-    gives even generator k the weight lam . deg_k >= 1, and the amount is
-    max lam . corner minus the odd part, so every monomial of a corner's
-    degree is reached.  algebra.exponent_rows prunes every exponent to the
-    values from which the box can still be reached within the budget.
+    largest budget // the least weight.  The walk is finite because of one
+    budget: the functional lam of grading_functional gives even generator
+    k the weight lam . deg_k >= 1, and the amount is max lam . corner
+    minus the odd part, so every monomial of a corner's degree is reached.
+    algebra.exponent_rows prunes every exponent to the values from which
+    the box can still be reached within the budget.
 
-    reduced walks the quotient by _unit_images: it skips their odd
-    generators and caps exponent k below e for x_k^e.
+    A stack fixes the capped exponents first, then the steepest (|t|, then
+    |q|, largest first), which the box prunes soonest; e_k packs at
+    place[k + 1] in any order, so keys do not depend on it.  reduced walks
+    the quotient by _unit_images: it skips their odd generators and caps
+    exponent k below e for x_k^e; B caps the other exponents.
     """
     ev = tuple((d.q, d.t, d.a) for d in pres.even_degrees)
     lam, witness = grading_functional(ev)
@@ -186,35 +192,35 @@ def _search(pres: Presentation, corners, reduced: bool = False) -> dict:
     place = tuple(radix ** (n - i) * len(odds) for i in range(n + 1))
     layout, moves = (odds, place, pres.image_terms), {}
     box = [(c.q, c.t) for c in corners]
-    rows = list(exponent_rows(ev, ws, box))
-    found_at: dict = {}
-
-    def dfs(i, pos, key, budget):
-        q, t, a = pos
-        lo, hi = exponent_range(rows[i], q, t, budget, ws[i])
-        hi = min(hi, caps.get(i, hi))
-        dq, dt, da = ev[i]
-        for e in range(lo, hi + 1):
-            at = (q + e * dq, t + e * dt, a + e * da)
-            if i == n - 1:
-                found_at.setdefault(at, []).append(key + e * place[n])
-            else:
-                dfs(i + 1, at, key + e * place[i + 1], budget - e * ws[i])
-
+    order = sorted(range(n), key=lambda k: (
+        k not in caps, -abs(ev[k][1]), -abs(ev[k][0])))
+    rows = exponent_rows([ev[k] for k in order], [ws[k] for k in order], box)
+    steps = [(row, ws[k], caps.get(k, radix), ev[k], place[k + 1])
+             for k, row in zip(order, rows)]
+    found, stack = defaultdict(list), []
     for code, S in enumerate(odds):
-        q = t = a = 0
-        for j in S:
-            d = pres.odd_degrees[j]
-            q, t, a = q + d.q, t + d.t, a + d.a
-        budget = top - sum(map(mul, lam, (q, t, a)))
-        if budget < 0:
+        q, t, a = map(sum, zip((0, 0, 0), *(pres.odd_degrees[j] for j in S)))
+        if (budget := top - sum(map(mul, lam, (q, t, a)))) < 0:
             continue
         if n:
-            dfs(0, (q, t, a), code, budget)
+            stack.append((0, q, t, a, code, budget))
         elif all(min(x) <= y <= max(x) for x, y in zip(zip(*box), (q, t))):
-            found_at.setdefault((q, t, a), []).append(code)
+            found[q, t, a].append(code)
+    while stack:
+        i, q, t, a, key, budget = stack.pop()
+        row, w, cap, (dq, dt, da), p = steps[i]
+        lo, hi = exponent_range(row, q, t, budget, w)
+        hi = min(hi, cap)
+        if i == n - 1:
+            for e in range(lo, hi + 1):
+                found[q + e * dq, t + e * dt, a + e * da].append(key + e * p)
+        else:
+            i += 1
+            for e in range(lo, hi + 1):
+                stack.append((i, q + e * dq, t + e * dt, a + e * da,
+                              key + e * p, budget - e * w))
     return {(deg := Degree(*at)): GradedBasis(deg, sorted(keys), layout, moves)
-            for at, keys in found_at.items()}
+            for at, keys in found.items()}
 
 
 def basis_at(pres: Presentation, deg: Degree) -> GradedBasis:
@@ -242,8 +248,9 @@ def window_bases(pres: Presentation, window: Window,
     many (x z has degree (0, 0, 1) for even degrees (1, 0, 1) and
     (-1, 0, 0)), so ask basis_at for them.
 
-    reduced gives homology_table's quotient complex:
-    no xi_j of _unit_images and no multiple of its image x_k^e.
+    reduced gives homology_table's quotient complex: no xi_j of
+    _unit_images and no multiple of its image x_k^e.  The dict's order is
+    not part of the contract.
     """
     corners = [Degree(q, t) for q in (window.qmin, window.qmax)
                for t in (window.tmin - 1, window.tmax + 1)]
@@ -616,10 +623,11 @@ def homology_table(pres: Presentation, ring: CoefficientRing, window: Window
     cokernel representative lives one t lower).
 
     Each result is kept per translation class: the mode (rank or Smith
-    form), k0 % C for the first source key k0 and C odd parts, and the
-    source and target keys less k0.  d_matrix reads a source key only
-    through key % C and index.get(key + delta), so moving every key of
-    both sides by K = 0 mod C gives the same matrix, entry for entry.
+    form), k0 % C for the first source key k0 and C odd parts, the source
+    shape (a basis's keys less its first key, taken once per degree), the
+    target's first key less k0 and the target shape.  d_matrix reads a
+    source key only through key % C and index.get(key + delta), so moving
+    every key of both sides by K = 0 mod C gives the same matrix.
 
     The complex is reduced first: the images that are powers +-x_k^e of
     their own degree with distinct k (taken greedily in generator order)
@@ -630,6 +638,10 @@ def homology_table(pres: Presentation, ring: CoefficientRing, window: Window
     """
     bases = window_bases(pres, window, reduced=True)
     qmin, qmax, tmin, tmax = astuple(window)
+    shape = {}  # deg -> first key, keys less the first key
+    for deg, b in bases.items():
+        k0 = b.keys[0]
+        shape[deg] = k0, tuple([k - k0 for k in b.keys])
     # (q, t) -> (rank, torsion) of the matrix out of (q, t), torsion over Z
     # inside the window only; a plain (q, t, 0) finds its Degree in bases
     out, done = {}, {}
@@ -638,16 +650,16 @@ def homology_table(pres: Presentation, ring: CoefficientRing, window: Window
         if (a or not (qmin <= q <= qmax and tmin <= t <= tmax + 1)
                 or (dst := bases.get((q, t - 1, 0))) is None):
             continue
-        k0, rank = src.keys[0], ring.is_field or t > tmax
-        key = (rank, k0 % len(src.layout[0]), tuple(k - k0 for k in src.keys),
-               tuple(k - k0 for k in dst.keys))
+        (k0, src_shape), (k1, dst_shape) = shape[deg], shape[dst.degree]
+        rank = ring.is_field or t > tmax
+        key = (rank, k0 % len(src.layout[0]), src_shape, k1 - k0, dst_shape)
         if key not in done:
             mat = d_matrix(pres, deg, src, dst)
             factors = ([1] * matrix_rank(mat, ring) if rank
                        else smith_normal_form(mat)[0])
             done[key] = len(factors), tuple(f for f in factors if f > 1)
         out[q, t] = done[key]
-    groups = {}
+    groups, made = {}, {}  # made: one frozen group per (free, torsion)
     for deg, b in bases.items():
         q, t, a = deg
         if a or not (qmin <= q <= qmax and tmin <= t <= tmax):
@@ -655,7 +667,9 @@ def homology_table(pres: Presentation, ring: CoefficientRing, window: Window
         rank, torsion = out.get((q, t), (0, ()))
         free = len(b.keys) - rank - out.get((q, t + 1), (0,))[0]
         if free or torsion:
-            groups[deg] = HomologyGroup(free, torsion)
+            if (free, torsion) not in made:
+                made[free, torsion] = HomologyGroup(free, torsion)
+            groups[deg] = made[free, torsion]
     return HomologyTable(pres.name, ring, window, groups)
 
 

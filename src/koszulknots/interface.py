@@ -67,8 +67,6 @@ def parse_table(text: str) -> ExternalTable:
 
 def _prime_power_multiset(factors, primes=None):
     """Cyclic orders -> sorted prime-power list, optionally filtered."""
-    if not factors:
-        return ()
     out = []
     for rest in factors:
         d = 2
@@ -142,43 +140,41 @@ def compare(model: HomologyTable, ext: ExternalTable, shift="auto",
                 if tor else ())
             for (t, dd), (r, tor) in ext.cells.items()
             if w.tmin <= t <= w.tmax}
-    model_cells = {}
+    model_cells, cells = {}, {}  # cells: one per group object
     for d, g in model.groups.items():
-        cell = (g.free_rank, _prime_power_multiset(g.torsion, torsion_primes))
+        if (cell := cells.get(id(g))) is None:
+            cell = cells[id(g)] = (g.free_rank, _prime_power_multiset(
+                g.torsion, torsion_primes))
         if cell != (0, ()):
             model_cells[(d.q, d.t)] = cell
 
-    if shift == "auto":
-        live = [k for k, c in data.items() if c != (0, ())]
-        if not model_cells or not live:
-            s = 0
-        else:
-            mq, mt = min(model_cells, key=lambda k: (k[1], k[0]))
-            dq, dt = min(live, key=lambda k: (k[1], k[0]))
-            if mt != dt:
-                raise ValueError(
-                    "cannot auto-align: lowest cells differ in t "
-                    f"(model t={mt}, data t={dt})")
-            s = dq - mq
-    else:
+    if shift != "auto":
         s = read_int(str(shift))
+    elif model_cells and (live := [k for k, c in data.items()
+                                   if c != (0, ())]):
+        mq, mt = min(model_cells, key=lambda k: (k[1], k[0]))
+        dq, dt = min(live, key=lambda k: (k[1], k[0]))
+        if mt != dt:
+            raise ValueError("cannot auto-align: lowest cells differ in t "
+                             f"(model t={mt}, data t={dt})")
+        s = dq - mq
+    else:
+        s = 0
     data = {(q, t): c for (q, t), c in data.items()
             if w.qmin <= q - s <= w.qmax}
 
     keys = {(q + s, t) for q, t in model_cells} | set(data)
     mismatches = []
-    for q, t in sorted(keys, key=lambda k: (k[1], k[0])):
+    for q, t in keys:
         mc = model_cells.get((q - s, t), (0, ()))
         dc = data.get((q, t), (0, ()))
         if mc != dc:
             mismatches.append((t, q, mc, dc))
+    mismatches.sort()  # (t, q) is unique, so the cells are never compared
 
-    first = (mismatches[0][0], mismatches[0][1]) if mismatches else None
-    if data:
-        tmin = min(t for _q, t in data)
-        tmax = (first[0] - 1) if first else max(t for _q, t in data)
-        region = (tmin, tmax) if tmax >= tmin else None
-    else:
-        region = None
+    first = mismatches[0][:2] if mismatches else None
+    ts = [t for _q, t in data]
+    tmax = first[0] - 1 if first else max(ts, default=0)
+    region = (min(ts), tmax) if ts and tmax >= min(ts) else None
     return DiffReport(s, first, mismatches, len(keys), region)
 

@@ -205,6 +205,31 @@ def test_compare_reports_first_divergence_in_t_order():
     assert "first divergence" in report.text()
 
 
+def test_compare_sorts_mismatches_in_t_then_q_order():
+    """Five mismatches on two t rows, model groups and data cells both
+    inserted out of (t, q) order, and one repeated group object: the
+    report lists them by t, then q, whatever the dict order."""
+    one = HomologyGroup(1)
+    model = HomologyTable("scrambled", ZZ, Window(0, 10, 0, 3), {
+        Degree(6, 2): one, Degree(2, 1): one, Degree(0, 0): HomologyGroup(1),
+        Degree(4, 2): HomologyGroup(0, (3,)), Degree(8, 1): HomologyGroup(2),
+        Degree(6, 3): one})
+    # cells keyed (t, dd), dd = q - 2t
+    ext = ExternalTable(ring=ZZ, cells={
+        (2, 0): (1, ()), (0, 0): (1, ()), (1, 6): (1, ()), (1, 0): (3, ()),
+        (2, 6): (1, ()), (3, 0): (1, ())})
+    for shift in ("auto", 0):
+        report = compare(model, ext, shift=shift)
+        assert report.shift == 0
+        assert report.mismatches == [
+            (1, 2, (1, ()), (3, ())), (1, 8, (2, ()), (1, ())),
+            (2, 4, (0, (3,)), (1, ())), (2, 6, (1, ()), (0, ())),
+            (2, 10, (0, ()), (1, ()))]
+        assert report.first_divergence == (1, 2)
+        assert report.agreeing_region == (0, 0)
+        assert report.compared_cells == 7
+
+
 def test_compare_ring_mismatch():
     model = small_model()
     ext = to_external(model, ring=prime_field(3))
