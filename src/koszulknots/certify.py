@@ -13,7 +13,7 @@ from .algebra import Degree, Monomial, QQ, SuperPolynomial, T_STEP, ZZ, \
     _is_prime, mono_degree
 from .homology import GradedBasis, IntegerMatrix, Window, d_matrix, \
     homology_at, homology_table, rank_exact, window_bases
-from .presentations import Presentation, apply_d, mu, \
+from .presentations import Presentation, _mu_sum, apply_d, mu, \
     reduced_presentation, stable_presentation
 from .series import SeriesWindow, expand, free_series
 
@@ -44,16 +44,12 @@ class CertificateReport:
 
 
 def t_class(p: int, N: int) -> SuperPolynomial:
-    """t_p = sum_{i=1}^{p-1} (Ni - p + i) x_i xi_{p-i} in the p-strand model."""
-    terms = {}
-    for i in range(1, p):
-        c = N * i - p + i
-        if c == 0:
-            continue
-        exp = [0] * p
-        exp[i] = 1
-        terms[Monomial(tuple(exp), (p - i,))] = c
-    return SuperPolynomial(p, terms)
+    """t_p, the sum of mu_p over the p-strand generators.
+
+    The sum runs over i + j = p with x_i and xi_j on p strands, so i goes
+    from 1 to p - 1: t_p = sum_{i=1}^{p-1} (Ni - p + i) x_i xi_{p-i}.
+    """
+    return _mu_sum(p, p, N)
 
 
 def torsion_certificate_tp(p: int, N: int,
@@ -92,33 +88,26 @@ def torsion_certificate_tp(p: int, N: int,
     return report
 
 
-def _named_class_A() -> SuperPolynomial:
-    data = {
-        (0, (1, 4)): 4, (1, (0, 4)): -8, (4, (0, 1)): 8,
-        (0, (2, 3)): -2, (2, (1, 2)): -2, (3, (0, 2)): -4,
-        (1, (1, 3)): 1, (2, (0, 3)): 4,
-    }
-    terms = {}
-    for (i, odd), c in data.items():
-        exp = [0] * 5
-        exp[i] = 1
-        terms[Monomial(tuple(exp), odd)] = c
-    return SuperPolynomial(5, terms)
+_NAMED_CLASSES = {
+    # name -> (strands, {(x indices, xi indices): coefficient})
+    "A": (5, {((0,), (1, 4)): 4, ((1,), (0, 4)): -8, ((4,), (0, 1)): 8,
+              ((0,), (2, 3)): -2, ((2,), (1, 2)): -2, ((3,), (0, 2)): -4,
+              ((1,), (1, 3)): 1, ((2,), (0, 3)): 4}),
+    "B": (6, {((1, 1), (5,)): 5, ((1, 5), (1,)): -5, ((1, 4), (2,)): -10,
+              ((2, 4), (1,)): 16, ((1, 3), (3,)): -15, ((3, 3), (1,)): 15,
+              ((2, 2), (3,)): 3, ((2, 3), (2,)): -3, ((1, 2), (4,)): -6}),
+}
 
 
-def _named_class_B() -> SuperPolynomial:
-    data = {
-        ((1, 1), 5): 5, ((1, 5), 1): -5, ((1, 4), 2): -10,
-        ((2, 4), 1): 16, ((1, 3), 3): -15, ((3, 3), 1): 15,
-        ((2, 2), 3): 3, ((2, 3), 2): -3, ((1, 2), 4): -6,
-    }
+def _named_class(name: str) -> SuperPolynomial:
+    n, data = _NAMED_CLASSES[name]
     terms = {}
-    for (evens, j), c in data.items():
-        exp = [0] * 6
-        for i in evens:
+    for (xs, xis), c in data.items():
+        exp = [0] * n
+        for i in xs:
             exp[i] += 1
-        terms[Monomial(tuple(exp), (j,))] = c
-    return SuperPolynomial(6, terms)
+        terms[Monomial(tuple(exp), xis)] = c
+    return SuperPolynomial(n, terms)
 
 
 def _matches_up_to_sign(got, want):
@@ -133,7 +122,7 @@ def verify_named_class(name: str) -> CertificateReport:
     """Re-derive the displayed differential of class A or B, up to sign."""
     if name == "A":
         pres = stable_presentation(5, 2)
-        cls = _named_class_A()
+        cls = _named_class("A")
         deg = Degree(20, 12)
         p = 5
         x = pres.gen
@@ -142,7 +131,7 @@ def verify_named_class(name: str) -> CertificateReport:
         expected_text = "10*x1*x3*(2*x1*xi0 - x0*xi1)"
     elif name == "B":
         pres = stable_presentation(6, 3)
-        cls = _named_class_B()
+        cls = _named_class("B")
         deg = Degree(24, 15)
         p = 7
         x = pres.gen
@@ -177,13 +166,11 @@ def verify_named_class(name: str) -> CertificateReport:
 
 def _relabeled_stable(n: int, N: int) -> Presentation:
     """Stable (n,N) model with x_i placed as x_{i+1}, xi_i as xi_{i+N}."""
-    base = stable_presentation(n, N)
-    even_degs = [Degree(2 * (k + 1) + 2, 2 * (k + 1)) for k in range(n)]
-    odd_degs = [Degree(2 * N + 2 * (k + N), 2 * (k + N) + 1) for k in range(n)]
+    big = stable_presentation(n + N, N)
     return Presentation(f"relabeled-stable(n={n},N={N})",
-                        [f"x{k + 1}" for k in range(n)], even_degs,
-                        [f"xi{k + N}" for k in range(n)], odd_degs,
-                        base.d_images)
+                        big.even_symbols[1:n + 1], big.even_degrees[1:n + 1],
+                        big.odd_symbols[N:], big.odd_degrees[N:],
+                        stable_presentation(n, N).d_images)
 
 
 def reduced_factorization_check(n: int, N: int,
@@ -245,10 +232,8 @@ def generator_saturation_check(n: int, N: int,
 
     # products of x's and mu's with total degree in the window
     gens = [(pres.gen(f"x{k}"), pres.even_degrees[k]) for k in range(n)]
-    mus = []
-    for k in range(1, n):
-        mk = mu(k, n, N)
-        mus.append((mk, Degree(2 * N + 2 * k + 2, 2 * k + 1)))
+    mus = [(mu(k, n, N), pres.even_degrees[0] + pres.odd_degrees[k])
+           for k in range(1, n)]
     products = {Degree(0, 0): [pres.one()]}
     frontier = [(pres.one(), Degree(0, 0), 0)]
     pool = gens + mus

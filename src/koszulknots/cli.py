@@ -102,10 +102,6 @@ def _cmd_homology(args) -> int:
         if args.n is None:
             print("error: --n is required without --tableau", file=sys.stderr)
             return 2
-        if not isinstance(args.N, int) or args.N < 2:
-            print("error: the stable model needs an integer N >= 2",
-                  file=sys.stderr)
-            return 2
         pres = (reduced_presentation if args.reduced
                 else stable_presentation)(args.n, args.N)
     window = Window(args.qmin, args.qmax, args.tmin, args.tmax)

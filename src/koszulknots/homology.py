@@ -340,19 +340,21 @@ def _echelon(mat: IntegerMatrix, p: int = 0) -> dict:
     return pivots
 
 
-def _smith(mat: IntegerMatrix, transforms: bool = False):
-    """The one Smith loop over Z: smith_normal_form's (factors, U, V).
+def smith_normal_form(mat: IntegerMatrix, transforms: bool = False):
+    """Invariant factors of an integer matrix, by the one Smith loop over Z.
 
-    The pivot is a unit while one is left: each sweep visits, in order,
-    the columns that gained a +-1 since the last one and takes the unit of
-    the shortest row (the elimination step of Dumas, Saunders and Villard,
-    J. Symbolic Comput. 32, 2001).  Then it is an entry of least absolute
-    value.  Its column is cleared by row operations and its row by column
-    operations, a nonzero remainder becoming the pivot, and a row that the
-    pivot does not divide is added to the pivot row.  The column
-    operations touch no other row, so they are only recorded: a unit's
-    row leaves as soon as its column is clear.  With transforms, U and V
-    record the operations, reordered so that U * mat * V is diagonal.
+    Returns (factors, U, V) with U*mat*V diagonal on the factors; factors
+    are positive and each divides the next.  U, V are None unless asked for,
+    and transforms only records the operations.  The pivot is a unit while
+    one is left: each sweep visits, in order, the columns that gained a +-1
+    since the last one and takes the unit of the shortest row (the
+    elimination step of Dumas, Saunders and Villard, J. Symbolic Comput.
+    32, 2001).  Then it is an entry of least absolute value.  Its column is
+    cleared by row operations and its row by column operations, a nonzero
+    remainder becoming the pivot, and a row that the pivot does not divide
+    is added to the pivot row.  The column operations touch no other row, so
+    they are only recorded: a unit's row leaves as soon as its column is
+    clear.
     """
     rows, fresh, sweep = defaultdict(dict), set(), []
     # col -> rows that held it, in order; a row that left or whose entry
@@ -459,18 +461,6 @@ def matrix_rank(mat: IntegerMatrix, ring: CoefficientRing) -> int:
     if ring.kind == "Fp":
         return rank_mod_p(mat, ring.p)
     return rank_exact(mat)
-
-
-def smith_normal_form(mat: IntegerMatrix, transforms: bool = False):
-    """Invariant factors of an integer matrix, optionally with U, V.
-
-    Returns (factors, U, V) with U*mat*V diagonal on the factors; factors
-    are positive and each divides the next.  U, V are None unless requested.
-    Both run the one loop _smith: the unit pivots give the leading factors
-    1, the least entries the rest, and transforms only records the row and
-    column operations in U and V.
-    """
-    return _smith(mat, transforms)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,11 @@
 
 Covers the stable Koszul model on n strands, its reduced variant
 (x_0 = 0), and the six Young-tableau projector algebras with their
-d_N and d_0 differentials.  Differential images are integer
-polynomials; homology reduces its matrices mod p, not the images.
+d_N and d_0 differentials.  The stable model is written once, by _row
+and _power_series_xN: the one-row projectors are that model on 1, 2
+and 3 strands, and mu_k (and t_p) one sum over its generators.
+Differential images are integer polynomials; homology reduces its
+matrices mod p, not the images.
 """
 
 from __future__ import annotations
@@ -122,15 +125,12 @@ def stable_presentation(n: int, N: int) -> Presentation:
     """The n-strand Koszul model for stable SL(N) homology, regraded a=q^N."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if N < 2:
-        raise ValueError(f"need N >= 2, got {N}")
-    even_syms = [f"x{k}" for k in range(n)]
-    even_degs = [Degree(2 * k + 2, 2 * k) for k in range(n)]
-    odd_syms = [f"xi{k}" for k in range(n)]
-    odd_degs = [Degree(2 * N + 2 * k, 2 * k + 1) for k in range(n)]
-    images = _power_series_xN(n, N)
+    if not isinstance(N, int) or N < 2:
+        raise ValueError(f"need an integer N >= 2, got {N!r}")
+    even_syms, even_degs, odd_syms, homfly_odd_degs = _row(n)
     return Presentation(f"stable(n={n},N={N})", even_syms, even_degs,
-                        odd_syms, odd_degs, images)
+                        odd_syms, _regrade(homfly_odd_degs, N),
+                        _power_series_xN(n, N))
 
 
 def reduced_presentation(n: int, N: int) -> Presentation:
@@ -154,18 +154,29 @@ def reduced_presentation(n: int, N: int) -> Presentation:
                         full.odd_symbols[1:], full.odd_degrees[1:], images)
 
 
+def _row(n: int):
+    """The one-row generators x_k, xi_k for k < n, as a _PROJECTOR_GENS
+    entry: x_k of degree (2k+2, 2k) and xi_k of HOMFLY degree (2k, 2k+1, 2)."""
+    return (tuple(f"x{k}" for k in range(n)),
+            tuple(Degree(2 * k + 2, 2 * k) for k in range(n)),
+            tuple(f"xi{k}" for k in range(n)),
+            tuple(Degree(2 * k, 2 * k + 1, 2) for k in range(n)))
+
+
+def _regrade(homfly_degs, N):
+    """Odd degrees with the a-grading set to q^N."""
+    return [Degree(d.q + N * d.a, d.t) for d in homfly_degs]
+
+
 _PROJECTOR_GENS = {
     # shape -> (even syms, even degs, odd syms, homfly odd degs); x0 and xi0
-    # come first, and the reduced algebras drop them
-    "[1]": (("x0",), (Degree(2, 0),), ("xi0",), (Degree(0, 1, 2),)),
-    "[12]": (("x0", "x1"), (Degree(2, 0), Degree(4, 2)),
-             ("xi0", "xi1"), (Degree(0, 1, 2), Degree(2, 3, 2))),
+    # come first, and the reduced algebras drop them; the one-row shapes
+    # are the stable model on 1, 2 and 3 strands
+    "[1]": _row(1),
+    "[12]": _row(2),
     "[1,2]": (("x0", "a1"), (Degree(2, 0), Degree(-4, -2)),
               ("xi0", "theta1"), (Degree(0, 1, 2), Degree(-2, 1, 2))),
-    "[123]": (("x0", "x1", "x2"),
-              (Degree(2, 0), Degree(4, 2), Degree(6, 4)),
-              ("xi0", "xi1", "xi2"),
-              (Degree(0, 1, 2), Degree(2, 3, 2), Degree(4, 5, 2))),
+    "[123]": _row(3),
     "[1,2,3]": (("x0", "a1", "a2"),
                 (Degree(2, 0), Degree(-4, -2), Degree(-6, -2)),
                 ("xi0", "theta1", "theta2"),
@@ -188,13 +199,10 @@ def _projector_images(shape: str, N: int, xi0_variant: str):
         exp = tuple(exps.get(s, 0) for s in syms)
         return SuperPolynomial.from_monomial(Monomial(exp), coeff)
 
-    if shape == "[12]":
-        return [mono(1, x0=N), mono(N, x0=N - 1, x1=1)]
+    if shape in ("[12]", "[123]"):
+        return _power_series_xN(len(_PROJECTOR_GENS[shape][0]), N)
     if shape == "[1,2]":
         return [mono(1, x0=N), mono(N, x0=N - 1)]
-    if shape == "[123]":
-        return [mono(1, x0=N), mono(N, x0=N - 1, x1=1),
-                mono(N, x0=N - 1, x2=1) + mono(comb(N, 2), x0=N - 2, x1=2)]
     if shape == "[1,2,3]":
         return [mono(1, x0=N), mono(N, x0=N - 1),
                 mono(comb(N, 2), x0=N - 2)]
@@ -259,7 +267,7 @@ def projector_presentation(shape: str, N, xi0_variant: str = "corrected"
                             od_s, homfly_od_d, images)
     if not isinstance(N, int) or N < 2:
         raise ValueError(f"need N >= 2, 0 or 'homfly', got {N!r}")
-    od_d = [Degree(d.q + N * d.a, d.t) for d in homfly_od_d]
+    od_d = _regrade(homfly_od_d, N)
     images = _projector_images(shape, N, xi0_variant)
     name = f"projector({shape},d{N})"
     if xi0_variant != "corrected" and shape == "[13,2]":
@@ -267,17 +275,19 @@ def projector_presentation(shape: str, N, xi0_variant: str = "corrected"
     return Presentation(name, ev_s, ev_d, od_s, od_d, images)
 
 
+def _mu_sum(k: int, n: int, N: int) -> SuperPolynomial:
+    """sum_{i+j=k} (N i - j) x_i xi_j over the x_i, xi_j of n strands."""
+    terms = {}
+    for i in range(max(0, k - n + 1), min(k, n - 1) + 1):
+        if c := N * i - (k - i):
+            exp = [0] * n
+            exp[i] = 1
+            terms[Monomial(tuple(exp), (k - i,))] = c
+    return SuperPolynomial(n, terms)
+
+
 def mu(k: int, n: int, N: int) -> SuperPolynomial:
     """The cycle mu_k = sum_{i+j=k} (N i - j) x_i xi_j in the stable model."""
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={n}")
-    terms = {}
-    for i in range(k + 1):
-        j = k - i
-        c = N * i - j
-        if c == 0:
-            continue
-        exp = [0] * n
-        exp[i] = 1
-        terms[Monomial(tuple(exp), (j,))] = c
-    return SuperPolynomial(n, terms)
+    return _mu_sum(k, n, N)

@@ -21,7 +21,7 @@ from heapq import heapify, heappop, heappush
 
 from .algebra import (_is_prime, exponent_range, exponent_rows,
                       grading_functional)
-from .presentations import _D0_DATA, _PROJECTOR_GENS
+from .presentations import _D0_DATA, _PROJECTOR_GENS, stable_presentation
 
 
 class ExpansionError(ValueError):
@@ -475,15 +475,12 @@ def mod_N_series(n: int, N: int) -> RationalFunction:
     """Poincare series of the stable model with Z/N coefficients, N prime."""
     if n < 1 or not isinstance(N, int) or not _is_prime(N):
         raise ValueError(f"P_ZN needs n >= 1 and N prime, got n={n!r}, N={N}")
-    num = ONE
-    factors = []
-    for k in range(n):
-        num = num * one_plus(2 * N + 2 * k, 2 * k + 1)
-        factors.append((1, (2 * k + 2, 2 * k)))
-    for i in range((n - 1) // N + 1):
-        num = num * one_minus(2 * N + 2 * i * N, 2 * i * N)
-        factors.append((-1, (2 * N + 2 * i * N, 2 * i * N + 1)))
-    return rf_factored(num, *factors)
+    pres = stable_presentation(n, N)
+    # xi_k of degree (i, j), N | k, adds (1 - q^i t^(j-1)) / (1 + q^i t^j)
+    fixed = pres.odd_degrees[::N]
+    return free_series(pres.even_degrees, pres.odd_degrees,
+                       product(one_minus(d.q, d.t - 1) for d in fixed)) \
+        * rf_factored(ONE, *((-1, (d.q, d.t)) for d in fixed))
 
 
 def free_series(evens, odds, num: LaurentPoly = ONE) -> RationalFunction:

@@ -2,8 +2,10 @@
 
 import pytest
 
-from koszulknots.algebra import Degree, ZZ, mono_degree
-from koszulknots.certify import (generator_saturation_check,
+from koszulknots.algebra import Degree, Monomial, SuperPolynomial, ZZ, \
+    mono_degree
+from koszulknots.certify import (_relabeled_stable,
+                                 generator_saturation_check,
                                  reduced_factorization_check, t_class,
                                  torsion_certificate_tp, verify_named_class)
 from koszulknots.homology import Window, homology_at
@@ -22,6 +24,37 @@ def test_t_class_is_homogeneous_mod_p_cycle():
         img = apply_d(pres, cls)
         assert not img.is_zero()
         assert img.mod(p).is_zero()
+
+
+def _old_t_class(p, N):
+    """t_p written out as a loop over i = 1 .. p-1."""
+    terms = {}
+    for i in range(1, p):
+        if c := N * i - p + i:
+            exp = [0] * p
+            exp[i] = 1
+            terms[Monomial(tuple(exp), (p - i,))] = c
+    return SuperPolynomial(p, terms)
+
+
+def test_t_class_is_mu_p_on_p_strands():
+    for p in (5, 7, 11, 13):
+        for N in range(2, p - 1):
+            assert t_class(p, N) == _old_t_class(p, N)
+
+
+def test_relabeled_stable_degrees():
+    for n in range(1, 7):
+        for N in range(2, 6):
+            pres = _relabeled_stable(n, N)
+            assert pres.even_symbols == tuple(f"x{k + 1}" for k in range(n))
+            assert pres.odd_symbols == tuple(f"xi{k + N}" for k in range(n))
+            assert pres.even_degrees == tuple(
+                Degree(2 * (k + 1) + 2, 2 * (k + 1)) for k in range(n))
+            assert pres.odd_degrees == tuple(
+                Degree(2 * N + 2 * (k + N), 2 * (k + N) + 1)
+                for k in range(n))
+            assert pres.d_images == stable_presentation(n, N).d_images
 
 
 @pytest.mark.parametrize("p,N", [(5, 2), (5, 3)])

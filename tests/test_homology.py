@@ -206,15 +206,15 @@ def test_rank_over_q_never_runs_the_smith_loop(monkeypatch):
     """rank_exact, and with it every table over Q, runs the elimination
     kernel alone; the general Smith loop serves the Smith form over Z."""
     def refuse(*args, **kw):
-        raise AssertionError("rank over Q entered _smith")
+        raise AssertionError("rank over Q entered smith_normal_form")
 
-    monkeypatch.setattr(homology, "_smith", refuse)
+    monkeypatch.setattr(homology, "smith_normal_form", refuse)
     # a +-3 and 9 block like those the hook_Q matrices leave over Z
     mat = IntegerMatrix(4, 2, {(0, 0): 3, (0, 1): -3, (1, 0): 9,
                                (2, 1): 3, (3, 0): -3, (3, 1): 9})
     assert rank_exact(mat) == 2
-    with pytest.raises(AssertionError, match="entered _smith"):
-        smith_normal_form(mat)
+    with pytest.raises(AssertionError, match="entered smith_normal_form"):
+        homology.smith_normal_form(mat)
     table = homology_table(projector_presentation("[12,3]", 3), QQ,
                            Window(-20, 20, -6, 6))
     assert table.groups
@@ -901,6 +901,38 @@ PINNED_TABLES = (
 def test_pinned_tables_are_byte_identical(build, ring, window, digest):
     text = homology_table(build(), ring, window).serialize()
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+UCT_CASES = (
+    (lambda: projector_presentation("[12,3]", 3), Window(-60, 60, -12, 12)),
+    (lambda: stable_presentation(4, 3), Window(0, 40, 0, 14)),
+    (lambda: stable_presentation(5, 2), Window(0, 60, 0, 20)),
+    (lambda: stable_presentation(5, 3), Window(0, 72, 0, 26)),
+    (lambda: stable_presentation(6, 3), Window(0, 90, 0, 30)),
+    (lambda: projector_presentation("[12,3]", 0), Window(-40, 40, -10, 10)),
+)
+
+
+@pytest.mark.parametrize("build,window", UCT_CASES,
+                         ids=["hook_Q", "stable43", "stable52", "stable53",
+                              "stable63", "hook_d0"])
+def test_universal_coefficients_tie_Z_to_Fp(build, window):
+    """The Smith loop (over Z) and the echelon loop (over F_p) agree by
+    universal coefficients: with n_p(q, t) the number of p-divisible
+    invariant factors at (q, t), the F_p rank at (q, t) is
+    free(q, t) + n_p(q, t) + n_p(q, t + 1) for t < tmax."""
+    pres = build()
+    table_z = homology_table(pres, ZZ, window)
+    for p in (2, 3, 5, 7, 11, 13):
+        table_p = homology_table(pres, prime_field(p), window)
+        n_p = {deg: sum(1 for f in g.torsion if f % p == 0)
+               for deg, g in table_z.groups.items()}
+        for deg in window.degrees():
+            if deg.t == window.tmax:
+                continue
+            want = (table_z.rank_at(deg) + n_p.get(deg, 0)
+                    + n_p.get(deg + T_STEP, 0))
+            assert table_p.rank_at(deg) == want, (p, deg)
 
 
 def _residues():

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from koszulknots.algebra import Degree, Monomial, SuperPolynomial, mono_degree
 from koszulknots.homology import Window, window_bases
 from koszulknots.presentations import (HOMFLY, PROJECTOR_SHAPES, Presentation,
-                                       apply_d, mu, projector_presentation,
+                                       _PROJECTOR_GENS, apply_d, mu,
+                                       projector_presentation,
                                        reduced_presentation,
                                        stable_presentation)
 
@@ -126,6 +127,44 @@ def test_mu_degree():
     cycle = mu(2, 4, 2)
     degs = {mono_degree(m, pres) for m in cycle.terms}
     assert len(degs) == 1
+
+
+@pytest.mark.parametrize("build", [stable_presentation, reduced_presentation])
+@pytest.mark.parametrize("N", ["homfly", 2.0])
+def test_non_integer_N_is_a_value_error(build, N):
+    with pytest.raises(ValueError, match=f"need an integer N >= 2, got {N!r}"):
+        build(2, N)
+
+
+def _as_data(pres):
+    return (pres.even_symbols, pres.even_degrees, pres.odd_symbols,
+            pres.odd_degrees, pres.d_images)
+
+
+@pytest.mark.parametrize("N", range(2, 8))
+def test_one_row_projectors_are_the_stable_model(N):
+    for shape, n in (("[12]", 2), ("[123]", 3)):
+        assert (_as_data(projector_presentation(shape, N))
+                == _as_data(stable_presentation(n, N)))
+
+
+def test_one_row_homfly_rows_are_the_written_out_tuples():
+    """The generator rows that _PROJECTOR_GENS listed term by term."""
+    want = {
+        "[1]": (("x0",), (Degree(2, 0),), ("xi0",), (Degree(0, 1, 2),)),
+        "[12]": (("x0", "x1"), (Degree(2, 0), Degree(4, 2)),
+                 ("xi0", "xi1"), (Degree(0, 1, 2), Degree(2, 3, 2))),
+        "[123]": (("x0", "x1", "x2"),
+                  (Degree(2, 0), Degree(4, 2), Degree(6, 4)),
+                  ("xi0", "xi1", "xi2"),
+                  (Degree(0, 1, 2), Degree(2, 3, 2), Degree(4, 5, 2))),
+    }
+    for shape, row in want.items():
+        assert _PROJECTOR_GENS[shape] == row
+    for shape in ("[12]", "[123]"):
+        pres = projector_presentation(shape, HOMFLY)
+        assert (pres.even_symbols, pres.even_degrees, pres.odd_symbols,
+                pres.odd_degrees) == want[shape]
 
 
 # ---------------------------------------------------------------------------

@@ -379,6 +379,23 @@ def test_catalogue_parameters_checked(build):
         build()
 
 
+def test_mod_N_series_is_the_written_out_product():
+    """P_ZN against its product written out over k < n and i <= (n-1)/N."""
+    for n in range(1, 9):
+        for N in (2, 3, 5, 7):
+            num = ONE
+            factors = []
+            for k in range(n):
+                num = num * one_plus(2 * N + 2 * k, 2 * k + 1)
+                factors.append((1, (2 * k + 2, 2 * k)))
+            for i in range((n - 1) // N + 1):
+                num = num * one_minus(2 * N + 2 * i * N, 2 * i * N)
+                factors.append((-1, (2 * N + 2 * i * N, 2 * i * N + 1)))
+            want = rf_factored(num, *factors)
+            got = mod_N_series(n, N)
+            assert (got.num, got.den_factors) == (want.num, want.den_factors)
+
+
 def test_series_window_rejects_inverted():
     for args in ((0, -1, 0, 10), (0, 2, 5, 4)):
         with pytest.raises(ValueError, match="empty window"):
