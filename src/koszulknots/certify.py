@@ -89,18 +89,26 @@ def torsion_certificate_tp(p: int, N: int,
 
 
 _NAMED_CLASSES = {
-    # name -> (strands, {(x indices, xi indices): coefficient})
-    "A": (5, {((0,), (1, 4)): 4, ((1,), (0, 4)): -8, ((4,), (0, 1)): 8,
-              ((0,), (2, 3)): -2, ((2,), (1, 2)): -2, ((3,), (0, 2)): -4,
-              ((1,), (1, 3)): 1, ((2,), (0, 3)): 4}),
-    "B": (6, {((1, 1), (5,)): 5, ((1, 5), (1,)): -5, ((1, 4), (2,)): -10,
-              ((2, 4), (1,)): 16, ((1, 3), (3,)): -15, ((3, 3), (1,)): 15,
-              ((2, 2), (3,)): 3, ((2, 3), (2,)): -3, ((1, 2), (4,)): -6}),
+    # name -> (strands, N, bidegree, prime p with d(class) = 0 mod p, class,
+    # displayed d(class) and its text, side check (gen, k, q) for
+    # class = gen*mu_k mod q or None); terms are {(x idx, xi idx): coeff}
+    "A": (5, 2, Degree(20, 12), 5,
+          {((0,), (1, 4)): 4, ((1,), (0, 4)): -8, ((4,), (0, 1)): 8,
+           ((0,), (2, 3)): -2, ((2,), (1, 2)): -2, ((3,), (0, 2)): -4,
+           ((1,), (1, 3)): 1, ((2,), (0, 3)): 4},
+          {((1, 1, 3), (0,)): 20, ((0, 1, 3), (1,)): -10},
+          "10*x1*x3*(2*x1*xi0 - x0*xi1)", None),
+    "B": (6, 3, Degree(24, 15), 7,
+          {((1, 1), (5,)): 5, ((1, 5), (1,)): -5, ((1, 4), (2,)): -10,
+           ((2, 4), (1,)): 16, ((1, 3), (3,)): -15, ((3, 3), (1,)): 15,
+           ((2, 2), (3,)): 3, ((2, 3), (2,)): -3, ((1, 2), (4,)): -6},
+          {((0, 1, 1, 2, 3), ()): -105},
+          "-105*x0*x1^2*x2*x3", ("x2", 5, 5)),
 }
 
 
-def _named_class(name: str) -> SuperPolynomial:
-    n, data = _NAMED_CLASSES[name]
+def _named_poly(n: int, data) -> SuperPolynomial:
+    """The polynomial on n strands of {(x indices, xi indices): c}."""
     terms = {}
     for (xs, xis), c in data.items():
         exp = [0] * n
@@ -110,35 +118,13 @@ def _named_class(name: str) -> SuperPolynomial:
     return SuperPolynomial(n, terms)
 
 
-def _matches_up_to_sign(got, want):
-    if got == want:
-        return True, "+1"
-    if got == -want:
-        return True, "-1"
-    return False, None
-
-
 def verify_named_class(name: str) -> CertificateReport:
     """Re-derive the displayed differential of class A or B, up to sign."""
-    if name == "A":
-        pres = stable_presentation(5, 2)
-        cls = _named_class("A")
-        deg = Degree(20, 12)
-        p = 5
-        x = pres.gen
-        expected = (x("x1") * x("x3")
-                    * (x("x1") * x("xi0") * 2 - x("x0") * x("xi1"))) * 10
-        expected_text = "10*x1*x3*(2*x1*xi0 - x0*xi1)"
-    elif name == "B":
-        pres = stable_presentation(6, 3)
-        cls = _named_class("B")
-        deg = Degree(24, 15)
-        p = 7
-        x = pres.gen
-        expected = (x("x0") * x("x1") * x("x1") * x("x2") * x("x3")) * (-105)
-        expected_text = "-105*x0*x1^2*x2*x3"
-    else:
+    if name not in _NAMED_CLASSES:
         raise ValueError(f"unknown named class {name!r}")
+    n, N, deg, p, cls, shown, shown_text, side = _NAMED_CLASSES[name]
+    pres = stable_presentation(n, N)
+    cls, shown = _named_poly(n, cls), _named_poly(n, shown)
 
     report = CertificateReport(name, deg)
     degrees = {mono_degree(m, pres) for m in cls.terms}
@@ -146,17 +132,18 @@ def verify_named_class(name: str) -> CertificateReport:
                degrees == {deg}, cls.text(pres))
 
     image = apply_d(pres, cls)
-    ok, unit = _matches_up_to_sign(image, expected)
-    report.add(f"d({name}) = {expected_text} up to global sign",
-               ok, f"d({name}) = {image.text(pres)}"
-               + (f" (global unit {unit})" if ok else ""))
+    unit = next((u for u in (1, -1) if image == u * shown), None)
+    report.add(f"d({name}) = {shown_text} up to global sign",
+               unit is not None, f"d({name}) = {image.text(pres)}"
+               + (f" (global unit {unit:+d})" if unit else ""))
     report.add(f"{name} is a cycle mod {p}",
                image.mod(p).is_zero())
 
-    if name == "B":
-        diff = (cls - pres.gen("x2") * mu(5, 6, 3)).mod(5)
-        report.add("B = x2*mu_5 mod 5", diff.is_zero(),
-                   "difference reduces to 0 mod 5")
+    if side:
+        gen, k, q = side
+        diff = (cls - pres.gen(gen) * mu(k, n, N)).mod(q)
+        report.add(f"{name} = {gen}*mu_{k} mod {q}", diff.is_zero(),
+                   f"difference reduces to 0 mod {q}")
     return report
 
 

@@ -14,8 +14,9 @@ from .homology import HomologyTable, Window, homology_table
 from .interface import compare, parse_table
 from .presentations import PROJECTOR_SHAPES, projector_presentation, \
     reduced_presentation, stable_presentation
-from .series import SeriesWindow, assemble_torus2, assemble_torus3, expand, \
-    formula, identity_check, list_formulas, projector_series
+from .series import COLUMN_IDENTITIES, SeriesWindow, assemble_torus2, \
+    assemble_torus3, expand, formula, identity_check, list_formulas, \
+    projector_series
 from . import certify
 
 
@@ -151,20 +152,13 @@ def _cmd_series(args) -> int:
             print(name)
         return 0
     if args.check_identities:
-        pairs = [
-            (["[12]", "[1,2]"], "[1]"),
-            (["[123]", "[12,3]"], "[12]"),
-            (["[1,2,3]", "[13,2]"], "[1,2]"),
-        ]
         ok = True
-        for parts, whole in pairs:
-            lhs = projector_series(parts[0], None, "homfly")
-            lhs = lhs + projector_series(parts[1], None, "homfly")
-            rhs = projector_series(whole, None, "homfly")
-            good = identity_check(lhs, rhs)
+        for (a, b), whole in COLUMN_IDENTITIES:
+            good = identity_check(projector_series(a, None, "homfly")
+                                  + projector_series(b, None, "homfly"),
+                                  projector_series(whole, None, "homfly"))
             ok = ok and good
-            print(f"P{parts[0]} + P{parts[1]} = P{whole}: "
-                  f"{'ok' if good else 'FAIL'}")
+            print(f"P{a} + P{b} = P{whole}: {'ok' if good else 'FAIL'}")
         return 0 if ok else 1
     if args.torus2 is not None or args.torus3 is not None:
         if args.N is None:
@@ -223,7 +217,7 @@ def _cmd_certify(args) -> int:
         p, N = _int_pair(name, "tp:<p>,<N>")
         report = certify.torsion_certificate_tp(
             p, N, check_homology=not args.skip_homology)
-    elif name in ("A", "B"):
+    elif name in certify._NAMED_CLASSES:
         report = certify.verify_named_class(name)
     elif name.startswith(("reduced:", "generators:")):
         kind = name.partition(":")[0]

@@ -16,12 +16,13 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from heapq import heapify, heappop, heappush
 
 from .algebra import (_is_prime, exponent_range, exponent_rows,
                       grading_functional)
-from .presentations import _D0_DATA, _PROJECTOR_GENS, stable_presentation
+from .presentations import _D0_DATA, _PROJECTOR_GENS, _row, \
+    stable_presentation
 
 
 class ExpansionError(ValueError):
@@ -392,8 +393,8 @@ def exact_divide(num: LaurentPoly, den: LaurentPoly):
 # closed-form catalogue
 
 
-def _stable_den_factors(n: int):
-    return [(1, (2 * k + 2, 2 * k)) for k in range(n)]
+# (1, (i, j, 0)) for x_0..x_4, the most strands catalogued; plain tuples
+_STABLE_DENS = tuple((1, tuple(d)) for d in _row(5)[1])
 
 
 def _check_N(N):
@@ -404,8 +405,7 @@ def _check_N(N):
 def stable_series(n: int, N: int) -> RationalFunction:
     """Poincare series of the rational homology of the n-strand stable model."""
     _check_N(N)
-    def out(num):
-        return rf_factored(num, *_stable_den_factors(n))
+    out = partial(RationalFunction, den_factors=_STABLE_DENS[:n])
     if n == 1:
         return out(one_minus(2 * N))
     if n == 2:
@@ -452,8 +452,7 @@ def stable_series(n: int, N: int) -> RationalFunction:
 
 def stable_series_reduced(n: int, N: int) -> RationalFunction:
     _check_N(N)
-    def out(num):
-        return rf_factored(num, *_stable_den_factors(n)[1:])
+    out = partial(RationalFunction, den_factors=_STABLE_DENS[1:n])
     if n == 1:
         return out(ONE)
     if n == 2:
@@ -561,6 +560,12 @@ def projector_series(shape: str, N=None, variant: str = "dN",
                                               sum(k * d.t for k, d in f_gens)))
 
 
+# ((a, b), whole): the column sums P_a + P_b = P_whole of HOMFLY series
+COLUMN_IDENTITIES = ((("[12]", "[1,2]"), "[1]"),
+                     (("[123]", "[12,3]"), "[12]"),
+                     (("[1,2,3]", "[13,2]"), "[1,2]"))
+
+
 # name-keyed catalogue for the CLI and tests ---------------------------------
 
 _SHAPE_TAGS = {"[1]": "sym1", "[12]": "sym2", "[1,2]": "antisym2",
@@ -569,32 +574,21 @@ _SHAPE_TAGS = {"[1]": "sym1", "[12]": "sym2", "[1,2]": "antisym2",
 
 
 def _build_catalogue():
-    cat = {}
-    for n in (1, 2, 3, 4, 5):
-        cat[f"P{n}_dN"] = {"params": ("N",),
-                           "build": lambda N, n=n: stable_series(n, N)}
-    for n in (2, 3, 4, 5):
-        cat[f"P{n}_red_dN"] = {
-            "params": ("N",),
-            "build": lambda N, n=n: stable_series_reduced(n, N)}
-    cat["P_ZN"] = {"params": ("n", "N"),
-                   "build": lambda n, N: mod_N_series(n, N)}
+    """name -> (parameter names, builder taking them as keywords)."""
+    cat = {f"P{n}_dN": (("N",), partial(stable_series, n))
+           for n in (1, 2, 3, 4, 5)}
+    cat.update((f"P{n}_red_dN", (("N",), partial(stable_series_reduced, n)))
+               for n in (2, 3, 4, 5))
+    cat["P_ZN"] = (("n", "N"), mod_N_series)
     for shape, tag in _SHAPE_TAGS.items():
         for variant in ("homfly", "dN", "d0"):
             for reduced in (False, True):
                 if variant == "d0" and (not reduced or shape not in _D0_DATA):
                     continue
                 name = f"P_{tag}" + ("_red" if reduced else "") + f"_{variant}"
-                params = ("N",) if variant == "dN" else ()
-                cat[name] = {
-                    "params": params,
-                    "build": (lambda N, shape=shape, variant=variant,
-                              reduced=reduced:
-                              projector_series(shape, N, variant, reduced))
-                    if variant == "dN" else
-                    (lambda shape=shape, variant=variant, reduced=reduced:
-                     projector_series(shape, None, variant, reduced)),
-                }
+                cat[name] = (("N",) if variant == "dN" else (),
+                             partial(projector_series, shape,
+                                     variant=variant, reduced=reduced))
     return cat
 
 
@@ -605,13 +599,11 @@ def formula(name: str, **params) -> RationalFunction:
     """Look up a catalogued closed-form series by name."""
     if name not in CATALOGUE:
         raise KeyError(f"unknown formula {name!r}; see list_formulas()")
-    entry = CATALOGUE[name]
-    want = set(entry["params"])
-    got = set(params)
-    if want != got:
+    want, build = CATALOGUE[name]
+    if set(want) != set(params):
         raise ValueError(f"{name} takes parameters {sorted(want)}, "
-                         f"got {sorted(got)}")
-    return entry["build"](**params)
+                         f"got {sorted(params)}")
+    return build(**params)
 
 
 def list_formulas():

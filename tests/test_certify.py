@@ -4,7 +4,8 @@ import pytest
 
 from koszulknots.algebra import Degree, Monomial, SuperPolynomial, ZZ, \
     mono_degree
-from koszulknots.certify import (_relabeled_stable,
+from koszulknots.certify import (_NAMED_CLASSES, _named_poly,
+                                 _relabeled_stable,
                                  generator_saturation_check,
                                  reduced_factorization_check, t_class,
                                  torsion_certificate_tp, verify_named_class)
@@ -98,6 +99,20 @@ def test_named_class_B():
     assert report.verdict, report.text()
     # B = x_2 mu_5 modulo 5 is part of the certificate
     assert any("mu_5" in desc for desc, _ok, _w in report.checks)
+
+
+def test_named_class_records_are_the_displayed_products():
+    x = stable_presentation(5, 2).gen
+    d_a = (x("x1") * x("x3")
+           * (x("x1") * x("xi0") * 2 - x("x0") * x("xi1"))) * 10
+    y = stable_presentation(6, 3).gen
+    d_b = (y("x0") * y("x1") * y("x1") * y("x2") * y("x3")) * (-105)
+    for name, want, text in (("A", d_a, "10*x1*x3*(2*x1*xi0 - x0*xi1)"),
+                             ("B", d_b, "-105*x0*x1^2*x2*x3")):
+        n, _N, _deg, _p, _cls, shown, shown_text, _side = \
+            _NAMED_CLASSES[name]
+        assert _named_poly(n, shown) == want
+        assert shown_text == text
 
 
 def test_unknown_named_class():

@@ -396,6 +396,105 @@ def test_mod_N_series_is_the_written_out_product():
             assert (got.num, got.den_factors) == (want.num, want.den_factors)
 
 
+_S, _R = stable_series, stable_series_reduced
+
+
+def _P(shape, variant, reduced=False):
+    if variant == "dN":
+        return lambda N: projector_series(shape, N, variant, reduced)
+    return lambda: projector_series(shape, None, variant, reduced)
+
+
+# every catalogue name, in list_formulas() order, and its direct builder
+_CATALOGUE_REFERENCE = {
+    "P1_dN": lambda N: _S(1, N), "P2_dN": lambda N: _S(2, N),
+    "P2_red_dN": lambda N: _R(2, N), "P3_dN": lambda N: _S(3, N),
+    "P3_red_dN": lambda N: _R(3, N), "P4_dN": lambda N: _S(4, N),
+    "P4_red_dN": lambda N: _R(4, N), "P5_dN": lambda N: _S(5, N),
+    "P5_red_dN": lambda N: _R(5, N), "P_ZN": mod_N_series,
+    "P_antisym2_dN": _P("[1,2]", "dN"),
+    "P_antisym2_homfly": _P("[1,2]", "homfly"),
+    "P_antisym2_red_dN": _P("[1,2]", "dN", True),
+    "P_antisym2_red_homfly": _P("[1,2]", "homfly", True),
+    "P_antisym3_dN": _P("[1,2,3]", "dN"),
+    "P_antisym3_homfly": _P("[1,2,3]", "homfly"),
+    "P_antisym3_red_d0": _P("[1,2,3]", "d0", True),
+    "P_antisym3_red_dN": _P("[1,2,3]", "dN", True),
+    "P_antisym3_red_homfly": _P("[1,2,3]", "homfly", True),
+    "P_hook12_3_dN": _P("[12,3]", "dN"),
+    "P_hook12_3_homfly": _P("[12,3]", "homfly"),
+    "P_hook12_3_red_d0": _P("[12,3]", "d0", True),
+    "P_hook12_3_red_dN": _P("[12,3]", "dN", True),
+    "P_hook12_3_red_homfly": _P("[12,3]", "homfly", True),
+    "P_hook13_2_dN": _P("[13,2]", "dN"),
+    "P_hook13_2_homfly": _P("[13,2]", "homfly"),
+    "P_hook13_2_red_d0": _P("[13,2]", "d0", True),
+    "P_hook13_2_red_dN": _P("[13,2]", "dN", True),
+    "P_hook13_2_red_homfly": _P("[13,2]", "homfly", True),
+    "P_sym1_dN": _P("[1]", "dN"), "P_sym1_homfly": _P("[1]", "homfly"),
+    "P_sym1_red_dN": _P("[1]", "dN", True),
+    "P_sym1_red_homfly": _P("[1]", "homfly", True),
+    "P_sym2_dN": _P("[12]", "dN"), "P_sym2_homfly": _P("[12]", "homfly"),
+    "P_sym2_red_dN": _P("[12]", "dN", True),
+    "P_sym2_red_homfly": _P("[12]", "homfly", True),
+    "P_sym3_dN": _P("[123]", "dN"), "P_sym3_homfly": _P("[123]", "homfly"),
+    "P_sym3_red_d0": _P("[123]", "d0", True),
+    "P_sym3_red_dN": _P("[123]", "dN", True),
+    "P_sym3_red_homfly": _P("[123]", "homfly", True),
+}
+
+
+def _outcome(build, **params):
+    try:
+        rf = build(**params)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+    return rf.num, rf.den_factors
+
+
+def test_catalogue_is_the_reference_table():
+    assert list_formulas() == list(_CATALOGUE_REFERENCE)
+    assert len(_CATALOGUE_REFERENCE) == 42
+    raised = 0
+    for name, build in _CATALOGUE_REFERENCE.items():
+        if name == "P_ZN":
+            grid = [{"n": n, "N": N} for n in range(1, 6) for N in (2, 3, 5)]
+        elif name.endswith("_dN"):
+            grid = [{"N": N} for N in range(2, 6)]
+        else:
+            grid = [{}]
+        for params in grid:
+            want = _outcome(build, **params)
+            assert _outcome(formula, name=name, **params) == want, \
+                (name, params)
+            raised += want[0] == "ValueError"
+    # the uncatalogued stable series: n = 4, 5 at N = 2, 4, 5, unreduced and
+    # reduced, all named in their error
+    assert raised == 12
+    with pytest.raises(ValueError, match="no catalogued stable series "
+                                         "for n=4, N=2"):
+        formula("P4_dN", N=2)
+    with pytest.raises(ValueError, match=r"P_ZN takes parameters "
+                                         r"\['N', 'n'\], got \['N'\]"):
+        formula("P_ZN", N=3)
+    with pytest.raises(ValueError, match=r"P_sym2_homfly takes parameters "
+                                         r"\[\], got \['N'\]"):
+        formula("P_sym2_homfly", N=3)
+
+
+def test_stable_denominators_are_the_model():
+    """The stable series are over 1 - q^i t^j for the degree (i, j) of each
+    even generator of the stable model; the reduced ones drop x_0's."""
+    cases = [(n, N) for n in (1, 2, 3) for N in range(2, 8)]
+    for n, N in cases + [(4, 3), (5, 3)]:
+        want = tuple((1, tuple(d))
+                     for d in stable_presentation(n, N).even_degrees)
+        assert stable_series(n, N).den_factors == want
+        assert stable_series_reduced(n, N).den_factors == want[1:]
+        assert all(type(m) is tuple
+                   for _c, m in stable_series(n, N).den_factors)
+
+
 def test_series_window_rejects_inverted():
     for args in ((0, -1, 0, 10), (0, 2, 5, 4)):
         with pytest.raises(ValueError, match="empty window"):
@@ -803,3 +902,26 @@ def test_unreduced_assembly_is_rosso_jones_at_t_minus_1(n, assemble, cases):
             assert {e: c for e, c in chi.items() if c} == want, (n, m, N)
             done += 1
     assert done == cases
+
+
+def test_reduced_assembly_is_rosso_jones_at_t_minus_1():
+    """At t = -1 every reduced assembly that is a polynomial is the
+    Rosso-Jones invariant over [N], mirrored, q -> q^-1, and times
+    q^((n - 1)(m + N - 1)), with sign +1: T(2, m) for N = 2..5 and odd
+    m < 41, T(3, m) at N = 2 for m < 41 coprime to 3 (the Jones
+    polynomial), and T(3, m) at N = 3, 4, 5 for m = 1, 2, below the
+    reduced (3, m) gap."""
+    cases = [(2, m, N) for N in range(2, 6) for m in range(1, 41, 2)]
+    cases += [(3, m, 2) for m in range(1, 41) if m % 3]
+    cases += [(3, m, N) for N in (3, 4, 5) for m in (1, 2)]
+    assemble = {2: assemble_torus2, 3: assemble_torus3}
+    for n, m, N in cases:
+        chi = {}
+        for (q, t, a), c in assemble[n](m, N, True).polynomial.terms.items():
+            assert not a
+            chi[q] = chi.get(q, 0) + (-1) ** t * c
+        shift = (n - 1) * (m + N - 1)
+        reduced = _qdiv(_rosso_jones(n, m, N), _qint(N))
+        want = {shift - e: v for e, v in reduced.items()}
+        assert {e: c for e, c in chi.items() if c} == want, (n, m, N)
+    assert len(cases) == 113
