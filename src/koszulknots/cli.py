@@ -184,11 +184,7 @@ def _cmd_series(args) -> int:
         print("error: one of --formula/--list/--torus2/--torus3/"
               "--check-identities is required", file=sys.stderr)
         return 2
-    params = {}
-    if args.N is not None:
-        params["N"] = args.N
-    if args.n is not None:
-        params["n"] = args.n
+    params = {k: v for k in ("N", "n") if (v := getattr(args, k)) is not None}
     try:
         rf = formula(args.formula, **params)
     except KeyError as exc:  # str(KeyError) quotes its message
@@ -238,12 +234,15 @@ def _cmd_compare(args) -> int:
         model = HomologyTable.parse(fh.read())
     with open(args.data) as fh:
         ext = parse_table(fh.read())
-    primes = None
-    if args.torsion_primes:
-        primes = {read_int(x) for x in args.torsion_primes.split(",")}
+    primes = ({read_int(x) for x in args.torsion_primes.split(",")}
+              if args.torsion_primes else None)
     report = compare(model, ext, args.shift, torsion_primes=primes)
     print(report.text())
     return 0 if report.agree else 1
+
+
+_COMMANDS = {"homology": _cmd_homology, "series": _cmd_series,
+             "certify": _cmd_certify, "compare": _cmd_compare}
 
 
 def main(argv=None) -> int:
@@ -253,18 +252,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        if args.command == "homology":
-            return _cmd_homology(args)
-        if args.command == "series":
-            return _cmd_series(args)
-        if args.command == "certify":
-            return _cmd_certify(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
+        return _COMMANDS[args.command](args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError(args.command)
 
 
 if __name__ == "__main__":

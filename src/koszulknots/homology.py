@@ -21,9 +21,10 @@ pairs only when read; apply_d is the term-by-term reference.  One row
 echelon loop gives the ranks over Q (fraction-free) and F_p; over Z one
 Smith loop pivots on the +-1 entries, then on the least entries.
 homology_table is the one homology path: one enumeration, one pass that
-takes each matrix's rank or Smith form once and one that forms the
-groups, on the complex's quotient by its regular sequence of unit powers
-of distinct variables; homology_at is homology_table on a one-degree
+takes each matrix's rank or Smith form once per translation class (five
+small ints, each basis shape interned) and one that forms the groups, on
+the complex's quotient by its regular sequence of unit powers of
+distinct variables; homology_at is homology_table on a one-degree
 window.  Maps whose keys differ by one multiple of C share one matrix.
 """
 
@@ -34,7 +35,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import astuple, dataclass, field
 from math import gcd
-from operator import mul
+from operator import itemgetter, mul
 
 from .algebra import (CoefficientRing, Degree, Monomial, T_STEP,
                       exponent_range, exponent_rows, grading_functional,
@@ -219,7 +220,9 @@ def _search(pres: Presentation, corners, reduced: bool = False) -> dict:
             for e in range(lo, hi + 1):
                 stack.append((i, q + e * dq, t + e * dt, a + e * da,
                               key + e * p, budget - e * w))
-    return {(deg := Degree(*at)): GradedBasis(deg, sorted(keys), layout, moves)
+    for keys in found.values():
+        keys.sort()
+    return {(deg := Degree(*at)): GradedBasis(deg, keys, layout, moves)
             for at, keys in found.items()}
 
 
@@ -561,8 +564,7 @@ class HomologyTable:
     groups: dict  # Degree -> HomologyGroup
 
     def rank_at(self, deg: Degree) -> int:
-        g = self.groups.get(deg)
-        return g.free_rank if g else 0
+        return self.groups[deg].free_rank if deg in self.groups else 0
 
     def serialize(self) -> str:
         lines = [
@@ -572,12 +574,17 @@ class HomologyTable:
             f"window=q:{self.window.qmin}..{self.window.qmax},"
             f"t:{self.window.tmin}..{self.window.tmax}",
         ]
-        for deg, g in sorted(self.groups.items(),
-                             key=lambda kv: kv[0].key()):
-            line = f"q={deg.q}, t={deg.t}, rank={g.free_rank}"
-            if g.torsion:
-                line += ", tor=" + ";".join(str(d) for d in g.torsion)
-            lines.append(line)
+        # stable sorts by a, q and t give the Degree.key order, (t, q, a)
+        degs = sorted(self.groups, key=itemgetter(2))
+        degs.sort(key=itemgetter(0))
+        degs.sort(key=itemgetter(1))
+        ends = {}  # the text after q, t: one per group object
+        for deg in degs:
+            if (end := ends.get(id(g := self.groups[deg]))) is None:
+                end = ends[id(g)] = f", rank={g.free_rank}" + (
+                    ", tor=" + ";".join(map(str, g.torsion)) if g.torsion
+                    else "")
+            lines.append(f"q={deg.q}, t={deg.t}{end}")
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -612,12 +619,14 @@ def homology_table(pres: Presentation, ring: CoefficientRing, window: Window
     reported at deg, the degree of the extra mod-p cycles it produces (its
     cokernel representative lives one t lower).
 
-    Each result is kept per translation class: the mode (rank or Smith
-    form), k0 % C for the first source key k0 and C odd parts, the source
-    shape (a basis's keys less its first key, taken once per degree), the
-    target's first key less k0 and the target shape.  d_matrix reads a
-    source key only through key % C and index.get(key + delta), so moving
-    every key of both sides by K = 0 mod C gives the same matrix.
+    Each result is kept per translation class of maps, five small ints:
+    the mode (rank or Smith form), k0 % C for the first source key k0 and
+    C odd parts, the source shape id, the target's first key less k0 and
+    the target shape id.  A shape is a basis's keys less its first key,
+    interned once per distinct shape (11 for hook_Q's 795 degrees) in the
+    dict (q, t) -> (basis, k0, shape id) that both passes read.  d_matrix
+    reads a source key only through key % C and index.get(key + delta), so
+    moving every key of both sides by K = 0 mod C gives the same matrix.
 
     The complex is reduced first: the images that are powers +-x_k^e of
     their own degree with distinct k (taken greedily in generator order)
@@ -628,38 +637,35 @@ def homology_table(pres: Presentation, ring: CoefficientRing, window: Window
     """
     bases = window_bases(pres, window, reduced=True)
     qmin, qmax, tmin, tmax = astuple(window)
-    shape = {}  # deg -> first key, keys less the first key
-    for deg, b in bases.items():
-        k0 = b.keys[0]
-        shape[deg] = k0, tuple([k - k0 for k in b.keys])
-    # (q, t) -> (rank, torsion) of the matrix out of (q, t), torsion over Z
-    # inside the window only; a plain (q, t, 0) finds its Degree in bases
-    out, done = {}, {}
-    for deg, src in bases.items():
-        q, t, a = deg
-        if (a or not (qmin <= q <= qmax and tmin <= t <= tmax + 1)
-                or (dst := bases.get((q, t - 1, 0))) is None):
-            continue
-        (k0, src_shape), (k1, dst_shape) = shape[deg], shape[dst.degree]
-        rank = ring.is_field or t > tmax
-        key = (rank, k0 % len(src.layout[0]), src_shape, k1 - k0, dst_shape)
-        if key not in done:
-            mat = d_matrix(pres, deg, src, dst)
-            factors = ([1] * matrix_rank(mat, ring) if rank
-                       else smith_normal_form(mat)[0])
-            done[key] = len(factors), tuple(f for f in factors if f > 1)
-        out[q, t] = done[key]
+    cells, shapes = {}, {}  # (q, t) -> (basis, k0, shape id) at a = 0
+    for (q, t, a), b in bases.items():
+        if not a:
+            k0 = b.keys[0]
+            shape = tuple([k - k0 for k in b.keys])
+            cells[q, t] = b, k0, shapes.setdefault(shape, len(shapes))
+    # (q, t) -> (rank, torsion) of the map out of (q, t); torsion: Z, t <= tmax
+    out, done, field = {}, {}, ring.is_field
+    for (q, t), (src, k0, sid) in cells.items():
+        if (qmin <= q <= qmax and tmin <= t <= tmax + 1
+                and (below := cells.get((q, t - 1)))):
+            dst, k1, did = below
+            rank = field or t > tmax
+            key = rank, k0 % len(src.layout[0]), sid, k1 - k0, did
+            if key not in done:
+                mat = d_matrix(pres, src.degree, src, dst)
+                factors = ([1] * matrix_rank(mat, ring) if rank
+                           else smith_normal_form(mat)[0])
+                done[key] = len(factors), tuple(f for f in factors if f > 1)
+            out[q, t] = done[key]
     groups, made = {}, {}  # made: one frozen group per (free, torsion)
-    for deg, b in bases.items():
-        q, t, a = deg
-        if a or not (qmin <= q <= qmax and tmin <= t <= tmax):
-            continue
-        rank, torsion = out.get((q, t), (0, ()))
-        free = len(b.keys) - rank - out.get((q, t + 1), (0,))[0]
-        if free or torsion:
-            if (free, torsion) not in made:
-                made[free, torsion] = HomologyGroup(free, torsion)
-            groups[deg] = made[free, torsion]
+    for (q, t), (b, _k0, _sid) in cells.items():
+        if qmin <= q <= qmax and tmin <= t <= tmax:
+            rank, torsion = out.get((q, t), (0, ()))
+            free = len(b.keys) - rank - out.get((q, t + 1), (0,))[0]
+            if free or torsion:
+                if (free, torsion) not in made:
+                    made[free, torsion] = HomologyGroup(free, torsion)
+                groups[b.degree] = made[free, torsion]
     return HomologyTable(pres.name, ring, window, groups)
 
 

@@ -160,21 +160,22 @@ def compare(model: HomologyTable, ext: ExternalTable, shift="auto",
         s = dq - mq
     else:
         s = 0
-    data = {(q, t): c for (q, t), c in data.items()
-            if w.qmin <= q - s <= w.qmax}
+    qlo, qhi = w.qmin + s, w.qmax + s
+    data = {k: c for k, c in data.items() if qlo <= k[0] <= qhi}
+    shifted = {(q + s, t): c for (q, t), c in model_cells.items()}
 
-    keys = {(q + s, t) for q, t in model_cells} | set(data)
-    mismatches = []
-    for q, t in keys:
-        mc = model_cells.get((q - s, t), (0, ()))
-        dc = data.get((q, t), (0, ()))
-        if mc != dc:
-            mismatches.append((t, q, mc, dc))
-    mismatches.sort()  # (t, q) is unique, so the cells are never compared
+    # only a cell on one side, or with two values, can differ; a data cell
+    # (0, ()) that the model does not list matches the model's zero
+    zero = (0, ())
+    differ = {k for k, _c in shifted.items() ^ data.items()}
+    mismatches = sorted(  # (t, q) is unique, so no two cells are compared
+        (t, q, mc, dc) for q, t in differ
+        if (mc := shifted.get((q, t), zero)) != (dc := data.get((q, t), zero)))
 
     first = mismatches[0][:2] if mismatches else None
     ts = [t for _q, t in data]
     tmax = first[0] - 1 if first else max(ts, default=0)
     region = (min(ts), tmax) if ts and tmax >= min(ts) else None
-    return DiffReport(s, first, mismatches, len(keys), region)
+    return DiffReport(s, first, mismatches,
+                      len(shifted.keys() | data.keys()), region)
 

@@ -70,9 +70,8 @@ class Presentation:
         """The generator with the given symbol as a polynomial."""
         if symbol in self.even_symbols:
             i = self.even_symbols.index(symbol)
-            exp = [0] * self.n_even
-            exp[i] = 1
-            return SuperPolynomial.from_monomial(Monomial(tuple(exp)))
+            return SuperPolynomial.from_monomial(Monomial(tuple(
+                int(k == i) for k in range(self.n_even))))
         if symbol in self.odd_symbols:
             j = self.odd_symbols.index(symbol)
             return SuperPolynomial.from_monomial(
@@ -104,11 +103,8 @@ def _power_series_xN(n: int, N: int):
     """Coefficients of x(tau)^N mod tau^n as even polynomials over Z."""
     one = SuperPolynomial.one(n)
     zero = SuperPolynomial.zero(n)
-    xs = []
-    for i in range(n):
-        exp = [0] * n
-        exp[i] = 1
-        xs.append(SuperPolynomial.from_monomial(Monomial(tuple(exp))))
+    xs = [SuperPolynomial.from_monomial(
+        Monomial(tuple(int(k == i) for k in range(n)))) for i in range(n)]
     coeffs = [one] + [zero] * (n - 1)
     for _ in range(N):
         nxt = [zero] * n

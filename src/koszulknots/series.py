@@ -573,13 +573,19 @@ _SHAPE_TAGS = {"[1]": "sym1", "[12]": "sym2", "[1,2]": "antisym2",
                "[12,3]": "hook12_3", "[13,2]": "hook13_2"}
 
 
+def _late(builder: str, *args, **params) -> RationalFunction:
+    # the module's builder at call time, so a wrapper set on it sees the call
+    return globals()[builder](*args, **params)
+
+
 def _build_catalogue():
     """name -> (parameter names, builder taking them as keywords)."""
-    cat = {f"P{n}_dN": (("N",), partial(stable_series, n))
+    cat = {f"P{n}_dN": (("N",), partial(_late, "stable_series", n))
            for n in (1, 2, 3, 4, 5)}
-    cat.update((f"P{n}_red_dN", (("N",), partial(stable_series_reduced, n)))
+    cat.update((f"P{n}_red_dN",
+                (("N",), partial(_late, "stable_series_reduced", n)))
                for n in (2, 3, 4, 5))
-    cat["P_ZN"] = (("n", "N"), mod_N_series)
+    cat["P_ZN"] = (("n", "N"), partial(_late, "mod_N_series"))
     for shape, tag in _SHAPE_TAGS.items():
         for variant in ("homfly", "dN", "d0"):
             for reduced in (False, True):
@@ -587,7 +593,7 @@ def _build_catalogue():
                     continue
                 name = f"P_{tag}" + ("_red" if reduced else "") + f"_{variant}"
                 cat[name] = (("N",) if variant == "dN" else (),
-                             partial(projector_series, shape,
+                             partial(_late, "projector_series", shape,
                                      variant=variant, reduced=reduced))
     return cat
 

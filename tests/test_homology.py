@@ -242,6 +242,29 @@ def test_dense_rank_without_unit_entries_is_fast():
     assert rank_mod_p(mat, 2 ** 31 - 1) == 50
 
 
+def stalling_smith_input():
+    """The map q^48 t^32 -> q^48 t^31 of the reduced stable(8, 3) complex,
+    on which the Smith loop over Z stalls in coefficient explosion."""
+    pres = stable_presentation(8, 3)
+    bases = window_bases(pres, Window(48, 48, 31, 32), reduced=True)
+    src, dst = bases[Degree(48, 32)], bases[Degree(48, 31)]
+    return d_matrix(pres, src.degree, src, dst)
+
+
+def test_stalling_smith_input_is_pinned():
+    """Shape, entries and ranks of the stalling input: its cokernel has 2-,
+    3- and 7-torsion and none at 5, 11 or 13.  Its Smith form is not
+    taken here; it does not finish in minutes."""
+    mat = stalling_smith_input()
+    values = list(mat.entries.values())
+    assert (mat.rows, mat.cols, len(values)) == (231, 227, 986)
+    assert sum(v in (1, -1) for v in values) == 84
+    assert set(values) == {1, -1, 3, -3, 6, -6}
+    assert rank_exact(mat) == 140
+    assert [rank_mod_p(mat, p) for p in (2, 3, 5, 7, 11, 13)] \
+        == [133, 77, 140, 137, 140, 140]
+
+
 SMITH_EXAMPLES = (
     ([[2, 4], [4, 2]], [2, 6]),
     # the unit pivot 1 leaves -1 at (1, 1) by a row operation

@@ -1,15 +1,17 @@
 """External tables: parsing, alignment, divergence reporting."""
 
 import os
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from koszulknots.algebra import Degree, ZZ, prime_field
+from koszulknots.algebra import Degree, ZZ, prime_field, read_int
 from koszulknots.homology import (HomologyGroup, HomologyTable, Window,
                                   homology_table)
-from koszulknots.interface import (ExternalTable, TableFormatError, compare,
-                                   parse_table)
+from koszulknots.interface import (DiffReport, ExternalTable,
+                                   TableFormatError, _prime_power_multiset,
+                                   compare, parse_table)
 from koszulknots.presentations import stable_presentation
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -304,3 +306,107 @@ def test_compare_stays_inside_the_model_window():
                      torsion_primes={5})
     assert report.agree and report.agreeing_region == (0, 8)
     assert "agreement for t in [0, 8]" in report.text()
+
+
+def _compare_per_cell(model, ext, shift="auto", torsion_primes=None):
+    """compare as one loop over the union of the shifted model cells and the
+    data cells, less its ring and prime checks: the per-cell reference."""
+    w = model.window
+    data = {(dd + 2 * t, t): (r, _prime_power_multiset(
+                [p for p, count in tor for _ in range(count)], torsion_primes)
+                if tor else ())
+            for (t, dd), (r, tor) in ext.cells.items()
+            if w.tmin <= t <= w.tmax}
+    model_cells, cells = {}, {}
+    for d, g in model.groups.items():
+        if (cell := cells.get(id(g))) is None:
+            cell = cells[id(g)] = (g.free_rank, _prime_power_multiset(
+                g.torsion, torsion_primes))
+        if cell != (0, ()):
+            model_cells[(d.q, d.t)] = cell
+    if shift != "auto":
+        s = read_int(str(shift))
+    elif model_cells and (live := [k for k, c in data.items()
+                                   if c != (0, ())]):
+        mq, mt = min(model_cells, key=lambda k: (k[1], k[0]))
+        dq, dt = min(live, key=lambda k: (k[1], k[0]))
+        if mt != dt:
+            raise ValueError("cannot auto-align: lowest cells differ in t "
+                             f"(model t={mt}, data t={dt})")
+        s = dq - mq
+    else:
+        s = 0
+    data = {(q, t): c for (q, t), c in data.items()
+            if w.qmin <= q - s <= w.qmax}
+    keys = {(q + s, t) for q, t in model_cells} | set(data)
+    mismatches = []
+    for q, t in keys:
+        mc = model_cells.get((q - s, t), (0, ()))
+        dc = data.get((q, t), (0, ()))
+        if mc != dc:
+            mismatches.append((t, q, mc, dc))
+    mismatches.sort()
+    first = mismatches[0][:2] if mismatches else None
+    ts = [t for _q, t in data]
+    tmax = first[0] - 1 if first else max(ts, default=0)
+    region = (min(ts), tmax) if ts and tmax >= min(ts) else None
+    return DiffReport(s, first, mismatches, len(keys), region)
+
+
+_TORSIONS = ((), (), (), (2,), (3,), (6,), (2, 4), (5, 25), (3, 9, 45))
+
+
+def _random_pair(rng):
+    """A model table on a small random window, with shared and torsion-only
+    groups, and data cells copied from it at a shift, then perturbed: cells
+    dropped, ranks and torsion changed, explicit (0, ()) cells, and cells
+    outside the model's window in t and in q."""
+    qmin, tmin = rng.randint(-6, 6), rng.randint(-3, 3)
+    window = Window(qmin, qmin + rng.randint(0, 10),
+                    tmin, tmin + rng.randint(0, 5))
+    shared = HomologyGroup(1)
+    groups = {}
+    for deg in window.degrees():
+        if rng.random() < 0.4:
+            groups[deg] = rng.choice([shared, HomologyGroup(
+                rng.randint(0, 2), rng.choice(_TORSIONS[3:]))])
+    model = HomologyTable("random", ZZ, window, groups)
+    shift = rng.randint(-4, 4)
+    cells = {}
+    for deg, g in groups.items():
+        if rng.random() < 0.85:
+            cells[deg.t, deg.q + shift - 2 * deg.t] = (
+                g.free_rank, tuple((f, 1) for f in g.torsion))
+    for _ in range(rng.randint(0, 6)):
+        t = rng.randint(window.tmin - 2, window.tmax + 2)
+        q = rng.randint(window.qmin - 3, window.qmax + 3) + shift
+        tor = rng.choice(_TORSIONS)
+        cells[t, q - 2 * t] = rng.choice([
+            (0, ()), (0, ()), (rng.randint(0, 3), tuple((f, 1) for f in tor)),
+            (1, tuple((f, rng.randint(1, 2)) for f in tor))])
+    return model, ExternalTable(ring=ZZ, cells=cells), shift
+
+
+def _outcome(model, ext, shift, primes, fn):
+    try:
+        return fn(model, ext, shift=shift, torsion_primes=primes)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_compare_matches_the_per_cell_reference():
+    """On 600 seeded random model/data pairs, under the auto, int and text
+    shifts and with and without a torsion filter, compare returns the very
+    DiffReport of the per-cell loop, or raises the same error."""
+    rng = random.Random(20141)
+    outcomes = set()
+    for _ in range(600):
+        model, ext, shift = _random_pair(rng)
+        for how in ("auto", shift, str(rng.randint(-4, 4))):
+            primes = rng.choice([None, {2}, {3, 5}, [5]])
+            want = _outcome(model, ext, how, primes, _compare_per_cell)
+            assert _outcome(model, ext, how, primes, compare) == want
+            outcomes.add(type(want).__name__ + str(
+                getattr(want, "agree", "")))
+    # every kind of outcome occurred: agreement, mismatches, refusal
+    assert outcomes == {"DiffReportTrue", "DiffReportFalse", "str"}

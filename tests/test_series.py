@@ -482,6 +482,36 @@ def test_catalogue_is_the_reference_table():
         formula("P_sym2_homfly", N=3)
 
 
+def test_formula_calls_the_builders_of_the_module(monkeypatch):
+    """formula looks its builder up in the series module at call time, so a
+    wrapper set there (a tracer's span, a patch) sees every catalogue call."""
+    import koszulknots.series as series
+    calls = []
+
+    def recorder(builder):
+        def record(*args, **params):
+            calls.append((builder, args, params))
+            return builder
+        return record
+
+    for builder in ("projector_series", "stable_series",
+                    "stable_series_reduced", "mod_N_series"):
+        monkeypatch.setattr(series, builder, recorder(builder))
+    assert formula("P3_dN", N=3) == "stable_series"
+    assert formula("P4_red_dN", N=3) == "stable_series_reduced"
+    assert formula("P_ZN", n=2, N=5) == "mod_N_series"
+    assert formula("P_hook12_3_red_dN", N=3) == "projector_series"
+    assert formula("P_sym2_homfly") == "projector_series"
+    assert calls == [
+        ("stable_series", (3,), {"N": 3}),
+        ("stable_series_reduced", (4,), {"N": 3}),
+        ("mod_N_series", (), {"n": 2, "N": 5}),
+        ("projector_series", ("[12,3]",),
+         {"variant": "dN", "reduced": True, "N": 3}),
+        ("projector_series", ("[12]",),
+         {"variant": "homfly", "reduced": False})]
+
+
 def test_stable_denominators_are_the_model():
     """The stable series are over 1 - q^i t^j for the degree (i, j) of each
     even generator of the stable model; the reduced ones drop x_0's."""
