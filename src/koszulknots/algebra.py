@@ -175,7 +175,7 @@ def exponent_range(rows, q, t, budget, weight):
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
+    if not isinstance(p, int) or p < 2:
         return False
     d = 2
     while d * d <= p:
@@ -196,7 +196,7 @@ class CoefficientRing:
         if self.kind not in ("Q", "Z", "Fp"):
             raise ValueError(f"unknown coefficient ring kind {self.kind!r}")
         if self.kind == "Fp":
-            if self.p is None or not _is_prime(self.p):
+            if not _is_prime(self.p):
                 raise ValueError(f"PrimeField requires a prime, got {self.p}")
         elif self.p is not None:
             raise ValueError("p only makes sense for PrimeField")
@@ -244,10 +244,6 @@ class Monomial:
     @property
     def parity(self) -> int:
         return len(self.odd) % 2
-
-
-def one_monomial(n_even: int) -> Monomial:
-    return Monomial((0,) * n_even)
 
 
 def mono_mul(m1: Monomial, m2: Monomial):
@@ -303,7 +299,7 @@ class SuperPolynomial:
 
     @classmethod
     def one(cls, n_even):
-        return cls(n_even, {one_monomial(n_even): 1})
+        return cls(n_even, {Monomial((0,) * n_even): 1})
 
     @classmethod
     def from_monomial(cls, m: Monomial, coeff=1):
@@ -372,20 +368,15 @@ class SuperPolynomial:
 
     # -- canonical order and text form ---------------------------------
 
-    def sorted_terms(self, pres=None):
-        """Terms in canonical order: graded-lex (t, q, evenExp, oddSet)."""
-        if pres is None:
-            key = lambda m: (m.even, m.odd)
-        else:
-            key = lambda m: (mono_degree(m, pres).key(), m.even, m.odd)
-        return [(m, self.terms[m]) for m in sorted(self.terms, key=key)]
-
     def text(self, pres) -> str:
-        """Canonical text form, e.g. ``2*x1*xi0 - x0*xi1``."""
+        """Canonical text form, e.g. ``2*x1*xi0 - x0*xi1``, with terms in
+        graded-lex order (t, q, evenExp, oddSet)."""
         if not self.terms:
             return "0"
         pieces = []
-        for m, c in self.sorted_terms(pres):
+        for m in sorted(self.terms, key=lambda m: (
+                mono_degree(m, pres).key(), m.even, m.odd)):
+            c = self.terms[m]
             factors = []
             for i, e in enumerate(m.even):
                 if e == 1:

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success/agreement, 1 divergence or failed certificate,
-2 usage error.
+2 usage error: every refusal raises ValueError, and main prints it.
 """
 
 from __future__ import annotations
@@ -95,14 +95,11 @@ def _build_parser():
 def _cmd_homology(args) -> int:
     if args.tableau:
         if args.reduced:
-            print("error: projector algebras have no --reduced variant",
-                  file=sys.stderr)
-            return 2
+            raise ValueError("projector algebras have no --reduced variant")
         pres = projector_presentation(args.tableau, args.N)
     else:
         if args.n is None:
-            print("error: --n is required without --tableau", file=sys.stderr)
-            return 2
+            raise ValueError("--n is required without --tableau")
         pres = (reduced_presentation if args.reduced
                 else stable_presentation)(args.n, args.N)
     window = Window(args.qmin, args.qmax, args.tmin, args.tmax)
@@ -162,8 +159,7 @@ def _cmd_series(args) -> int:
         return 0 if ok else 1
     if args.torus2 is not None or args.torus3 is not None:
         if args.N is None:
-            print("error: --N is required for assemblies", file=sys.stderr)
-            return 2
+            raise ValueError("--N is required for assemblies")
         if args.torus2 is not None:
             asm = assemble_torus2(args.torus2, args.N, args.reduced)
         else:
@@ -181,15 +177,13 @@ def _cmd_series(args) -> int:
             print(asm.rational)
         return 0
     if not args.formula:
-        print("error: one of --formula/--list/--torus2/--torus3/"
-              "--check-identities is required", file=sys.stderr)
-        return 2
+        raise ValueError("one of --formula/--list/--torus2/--torus3/"
+                         "--check-identities is required")
     params = {k: v for k in ("N", "n") if (v := getattr(args, k)) is not None}
     try:
         rf = formula(args.formula, **params)
     except KeyError as exc:  # str(KeyError) quotes its message
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
+        raise ValueError(exc.args[0]) from None
     if args.expand is not None:
         _print_expansion(rf, args.expand, args.qmax)
     else:
@@ -223,8 +217,7 @@ def _cmd_certify(args) -> int:
                  else certify.generator_saturation_check)
         report = check(n, N, Window(0, qmax, 0, args.tmax))
     else:
-        print(f"error: unknown certificate {name!r}", file=sys.stderr)
-        return 2
+        raise ValueError(f"unknown certificate {name!r}")
     print(report.text())
     return 0 if report.verdict else 1
 

@@ -4,9 +4,12 @@ Covers the stable Koszul model on n strands, its reduced variant
 (x_0 = 0), and the six Young-tableau projector algebras with their
 d_N and d_0 differentials.  The stable model is written once, by _row
 and _power_series_xN: the one-row projectors are that model on 1, 2
-and 3 strands, and mu_k (and t_p) one sum over its generators.
-Differential images are integer polynomials; homology reduces its
-matrices mod p, not the images.
+and 3 strands, and mu_k (and t_p) one sum over its generators.  Two
+more images follow from the same series: the reduced model's d(xi_i)
+is 0 for i < N and the tau^(i-N) coefficient of (x_1 + x_2 tau + ...)^N
+after, and the column projectors [1,2] and [1,2,3] send their k-th odd
+generator to C(N, k) x_0^(N-k).  Differential images are integer
+polynomials; homology reduces its matrices mod p, not the images.
 """
 
 from __future__ import annotations
@@ -132,19 +135,13 @@ def stable_presentation(n: int, N: int) -> Presentation:
 def reduced_presentation(n: int, N: int) -> Presentation:
     """Stable model with the unknot pair (x_0, xi_0) deleted.
 
-    Differentials are evaluated at x_0 = 0, so d(xi_i) vanishes for i < N
-    and for i >= N agrees with the (n-N)-strand differential relabeled by
-    x_j -> x_{j+1}, xi_j -> xi_{j+N}.
+    Its images are the power series at x_0 = 0: x(tau)^N is then
+    tau^N (x_1 + x_2 tau + ...)^N, so d(xi_i) vanishes for i < N and for
+    i >= N is the tau^(i-N) coefficient of (x_1 + x_2 tau + ...)^N.
     """
     full = stable_presentation(n, N)
-    images = []
-    for img in full.d_images[1:]:
-        terms = {}
-        for m, c in img.terms.items():
-            if m.even[0]:
-                continue
-            terms[Monomial(m.even[1:], tuple(i - 1 for i in m.odd))] = c
-        images.append(SuperPolynomial(n - 1, terms))
+    images = ([SuperPolynomial.zero(n - 1)] * (N - 1)
+              + _power_series_xN(n - 1, N))[:n - 1]
     return Presentation(f"reduced(n={n},N={N})",
                         full.even_symbols[1:], full.even_degrees[1:],
                         full.odd_symbols[1:], full.odd_degrees[1:], images)
@@ -195,13 +192,11 @@ def _projector_images(shape: str, N: int, xi0_variant: str):
         exp = tuple(exps.get(s, 0) for s in syms)
         return SuperPolynomial.from_monomial(Monomial(exp), coeff)
 
+    boxes = len(_PROJECTOR_GENS[shape][0])
     if shape in ("[12]", "[123]"):
-        return _power_series_xN(len(_PROJECTOR_GENS[shape][0]), N)
-    if shape == "[1,2]":
-        return [mono(1, x0=N), mono(N, x0=N - 1)]
-    if shape == "[1,2,3]":
-        return [mono(1, x0=N), mono(N, x0=N - 1),
-                mono(comb(N, 2), x0=N - 2)]
+        return _power_series_xN(boxes, N)
+    if shape in ("[1,2]", "[1,2,3]"):
+        return [mono(comb(N, k), x0=N - k) for k in range(boxes)]
     if shape == "[12,3]":
         return [mono(1, x0=N), mono(N, x0=N - 1, x1=1),
                 mono(N, x0=N - 1) + mono(comb(N, 2), x0=N - 2, x1=2, b2=1)]

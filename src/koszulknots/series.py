@@ -472,7 +472,7 @@ def stable_series_reduced(n: int, N: int) -> RationalFunction:
 
 def mod_N_series(n: int, N: int) -> RationalFunction:
     """Poincare series of the stable model with Z/N coefficients, N prime."""
-    if n < 1 or not isinstance(N, int) or not _is_prime(N):
+    if n < 1 or not _is_prime(N):
         raise ValueError(f"P_ZN needs n >= 1 and N prime, got n={n!r}, N={N}")
     pres = stable_presentation(n, N)
     # xi_k of degree (i, j), N | k, adds (1 - q^i t^(j-1)) / (1 + q^i t^j)

@@ -11,7 +11,11 @@ from koszulknots.algebra import (CoefficientRing, Degree, Monomial, QQ,
                                  StructuralError, SuperPolynomial, ZZ,
                                  grading_functional, mono_degree, mono_mul,
                                  prime_field, read_int)
+from koszulknots.certify import torsion_certificate_tp
+from koszulknots.homology import Window, homology_table
+from koszulknots.interface import ExternalTable, compare
 from koszulknots.presentations import apply_d, stable_presentation
+from koszulknots.series import mod_N_series
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +107,27 @@ def test_ring_is_field():
 def test_prime_field_requires_prime():
     with pytest.raises(ValueError):
         prime_field(6)
+
+
+def _compare_filtered_by(primes):
+    model = homology_table(stable_presentation(2, 2), ZZ, Window(0, 0, 0, 0))
+    return compare(model, ExternalTable(ring=ZZ), torsion_primes=primes)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: prime_field(5.0),
+    lambda: CoefficientRing("Fp", 5.0),
+    lambda: prime_field(True),
+    lambda: _compare_filtered_by({5.0}),
+    lambda: mod_N_series(2, 5.0),
+    lambda: torsion_certificate_tp(7.0, 3),
+], ids=["prime_field", "CoefficientRing", "prime_field_True", "compare",
+        "mod_N_series", "torsion_certificate_tp"])
+def test_a_prime_must_be_an_int(call):
+    """5.0 equals a prime but is no int: F5.0 would not parse back, and
+    range(7.0) would raise TypeError deep inside a certificate."""
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_ring_equality():

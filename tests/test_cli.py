@@ -365,6 +365,23 @@ def test_usage_error_exit_code(capsys):
     assert run(capsys, "homology", "--n", "2")[0] == 2  # missing --tmax
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("homology", "--tableau", "[12]", "--reduced", "--N", "2", "--tmax", "2",
+      "--qmax", "4"), "projector algebras have no --reduced variant"),
+    (("homology", "--tmax", "4", "--qmax", "8"),
+     "--n is required without --tableau"),
+    (("series", "--torus3", "2"), "--N is required for assemblies"),
+    (("series",), "one of --formula/--list/--torus2/--torus3/"
+                  "--check-identities is required"),
+    (("series", "--formula", "P_bogus"),
+     "unknown formula 'P_bogus'; see list_formulas()"),
+    (("certify", "--name", "bogus"), "unknown certificate 'bogus'"),
+], ids=["reduced_tableau", "no_n", "assembly_no_N", "no_series_mode",
+        "unknown_formula", "unknown_certificate"])
+def test_refusals_exit_2_through_main(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def _cells_from(serialized):
     for line in serialized.splitlines():
         line = line.split("#", 1)[0].strip()

@@ -1,5 +1,7 @@
 """Presentations: stable/reduced/projector algebras and their differentials."""
 
+from math import comb
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -139,6 +141,42 @@ def test_non_integer_N_is_a_value_error(build, N):
 def _as_data(pres):
     return (pres.even_symbols, pres.even_degrees, pres.odd_symbols,
             pres.odd_degrees, pres.d_images)
+
+
+def _reduced_by_filtering(n, N):
+    """The reduced model as first built, kept as the reference: the stable
+    images with every x_0 term dropped and the rest relabeled."""
+    full = stable_presentation(n, N)
+    images = []
+    for img in full.d_images[1:]:
+        terms = {}
+        for m, c in img.terms.items():
+            if m.even[0]:
+                continue
+            terms[Monomial(m.even[1:], tuple(i - 1 for i in m.odd))] = c
+        images.append(SuperPolynomial(n - 1, terms))
+    return (full.even_symbols[1:], full.even_degrees[1:],
+            full.odd_symbols[1:], full.odd_degrees[1:], tuple(images))
+
+
+@pytest.mark.parametrize("N", range(2, 9))
+def test_reduced_images_are_the_power_series_at_x0_zero(N):
+    for n in range(1, 10):
+        assert (_as_data(reduced_presentation(n, N))
+                == _reduced_by_filtering(n, N)), n
+
+
+@pytest.mark.parametrize("N", range(2, 11))
+def test_column_projector_images_are_the_written_out_lists(N):
+    def x0(coeff, e, boxes):
+        return SuperPolynomial.from_monomial(
+            Monomial((e,) + (0,) * (boxes - 1)), coeff)
+
+    want = {"[1,2]": (x0(1, N, 2), x0(N, N - 1, 2)),
+            "[1,2,3]": (x0(1, N, 3), x0(N, N - 1, 3),
+                        x0(comb(N, 2), N - 2, 3))}
+    for shape, images in want.items():
+        assert projector_presentation(shape, N).d_images == images
 
 
 @pytest.mark.parametrize("N", range(2, 8))
