@@ -11,7 +11,7 @@ walk of homology's enumerator and of series' factored expansion.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
@@ -20,6 +20,45 @@ from typing import NamedTuple
 
 class StructuralError(ValueError):
     """Operands from different presentations."""
+
+
+class _Record:
+    """Field-wise == between records of one class, and the repr
+    Name(field=value, ...), over _fields.  A mutable record sets _fields
+    and writes __init__; a frozen one subclasses _frozen(name, fields)."""
+
+    __slots__ = ()
+    __ne__ = object.__ne__  # not tuple's: != negates ==
+
+    def _values(self):
+        return [getattr(self, f) for f in self._fields]
+
+    def __eq__(self, other):
+        # False, not NotImplemented: tuple's == would then compare values
+        return other.__class__ is self.__class__ and (
+            self._values() == other._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+def _frozen(name: str, fields: str) -> type:
+    """Base of a frozen record: a namedtuple of the fields that hashes and
+    compares as that tuple; its subclass validates in __new__."""
+
+    class Frozen(_Record, namedtuple(name, fields)):
+        __slots__ = ()
+        __hash__ = tuple.__hash__
+        __add__ = __mul__ = __rmul__ = None  # no tuple + and *
+
+        def _values(self):
+            return self[:]  # a plain tuple, which == compares in C
+
+        def __setattr__(self, name, value):
+            raise AttributeError(f"cannot assign to field {name!r}")
+
+    return Frozen
 
 
 class Degree(NamedTuple):
@@ -185,21 +224,18 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class CoefficientRing:
+class CoefficientRing(_frozen("CoefficientRing", "kind p")):
     """One of Q, Z, or F_p (p prime)."""
 
-    kind: str  # "Q" | "Z" | "Fp"
-    p: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("Q", "Z", "Fp"):
-            raise ValueError(f"unknown coefficient ring kind {self.kind!r}")
-        if self.kind == "Fp":
-            if not _is_prime(self.p):
-                raise ValueError(f"PrimeField requires a prime, got {self.p}")
-        elif self.p is not None:
+    def __new__(cls, kind: str, p: int | None = None):  # "Q" | "Z" | "Fp"
+        if kind not in ("Q", "Z", "Fp"):
+            raise ValueError(f"unknown coefficient ring kind {kind!r}")
+        if kind == "Fp":
+            if not _is_prime(p):
+                raise ValueError(f"PrimeField requires a prime, got {p}")
+        elif p is not None:
             raise ValueError("p only makes sense for PrimeField")
+        return super().__new__(cls, kind, p)
 
     @property
     def is_field(self) -> bool:
@@ -228,18 +264,15 @@ def prime_field(p: int) -> CoefficientRing:
     return CoefficientRing("Fp", p)
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(_frozen("Monomial", "even odd")):
     """Even exponent vector plus a sorted tuple of odd generator indices."""
 
-    even: tuple
-    odd: tuple = ()
-
-    def __post_init__(self):
-        if any(e < 0 for e in self.even):
+    def __new__(cls, even: tuple, odd: tuple = ()):
+        if any(e < 0 for e in even):
             raise ValueError("negative even exponent")
-        if any(self.odd[i] >= self.odd[i + 1] for i in range(len(self.odd) - 1)):
+        if any(odd[i] >= odd[i + 1] for i in range(len(odd) - 1)):
             raise ValueError("odd indices must be strictly increasing")
+        return super().__new__(cls, even, odd)
 
     @property
     def parity(self) -> int:

@@ -7,10 +7,8 @@ homology machinery; nothing is taken on faith from cached data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .algebra import Degree, Monomial, QQ, SuperPolynomial, T_STEP, ZZ, \
-    _is_prime, mono_degree
+    _Record, _is_prime, mono_degree
 from .homology import GradedBasis, IntegerMatrix, Window, d_matrix, \
     homology_at, homology_table, rank_exact, window_bases
 from .presentations import Presentation, _mu_sum, apply_d, mu, \
@@ -18,11 +16,13 @@ from .presentations import Presentation, _mu_sum, apply_d, mu, \
 from .series import SeriesWindow, expand, free_series
 
 
-@dataclass
-class CertificateReport:
-    name: str
-    claimed_degree: Degree | None = None
-    checks: list = field(default_factory=list)  # (description, ok, witness)
+class CertificateReport(_Record):
+    _fields = ("name", "claimed_degree", "checks")
+
+    def __init__(self, name: str, claimed_degree: Degree | None = None,
+                 checks: list = None):  # [(description, ok, witness)]
+        self.name, self.claimed_degree = name, claimed_degree
+        self.checks = [] if checks is None else checks
 
     def add(self, description: str, ok: bool, witness: str = ""):
         self.checks.append((description, bool(ok), witness))

@@ -33,13 +33,12 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import astuple, dataclass, field
 from math import gcd
 from operator import itemgetter, mul
 
-from .algebra import (CoefficientRing, Degree, Monomial, T_STEP,
-                      exponent_range, exponent_rows, grading_functional,
-                      mono_degree, read_int)
+from .algebra import (CoefficientRing, Degree, Monomial, T_STEP, _Record,
+                      _frozen, exponent_range, exponent_rows,
+                      grading_functional, mono_degree, read_int)
 from .presentations import Presentation
 
 
@@ -48,19 +47,15 @@ class NonProperGradingError(ValueError):
     every even generator degree; the message names a degree-0 product."""
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(_frozen("Window", "qmin qmax tmin tmax")):
     """Finite degree box; q/t below tmin/qmin are not computed."""
 
-    qmin: int = 0
-    qmax: int = 0
-    tmin: int = 0
-    tmax: int = 0
-
-    def __post_init__(self):
-        if self.qmin > self.qmax or self.tmin > self.tmax:
-            raise ValueError(f"empty window q:{self.qmin}..{self.qmax}, "
-                             f"t:{self.tmin}..{self.tmax}")
+    def __new__(cls, qmin: int = 0, qmax: int = 0, tmin: int = 0,
+                tmax: int = 0):
+        if qmin > qmax or tmin > tmax:
+            raise ValueError(f"empty window q:{qmin}..{qmax}, "
+                             f"t:{tmin}..{tmax}")
+        return super().__new__(cls, qmin, qmax, tmin, tmax)
 
     def degrees(self):
         return (Degree(q, t) for t in range(self.tmin, self.tmax + 1)
@@ -71,21 +66,23 @@ class Window:
                 and self.tmin <= deg.t <= self.tmax)
 
 
-@dataclass
-class GradedBasis:
+class GradedBasis(_Record):
     """Sorted basis keys at one degree; exps and monomials decode them.
 
     key = sum e_i place[i+1] + odds.index(odd), place[i] = B^(n-i) len(odds),
     under the layout (odds, place, image terms) that all bases of one walk
     share; keys of two layouts do not compare.  B exceeds every walked
     exponent plus every image exponent, so no key + packed image exponent
-    carries.  moves caches d_matrix's (+-c, delta) per odd part.
+    carries.  moves caches d_matrix's (+-c, delta) per odd part; == and
+    repr leave it out.
     """
 
-    degree: Degree
-    keys: list
-    layout: tuple = None
-    moves: dict = field(default_factory=dict, compare=False, repr=False)
+    _fields = ("degree", "keys", "layout")
+
+    def __init__(self, degree: Degree, keys: list, layout: tuple = None,
+                 moves: dict = None):
+        self.degree, self.keys, self.layout = degree, keys, layout
+        self.moves = {} if moves is None else moves
 
     @property
     def exps(self) -> list:
@@ -100,28 +97,29 @@ class GradedBasis:
         return [Monomial(e, o) for e, o in self.exps]
 
 
-@dataclass
-class IntegerMatrix:
+class IntegerMatrix(_Record):
     """Sparse integer matrix; entries maps (row, col) to a value, and
     stored zeros count as absent."""
 
-    rows: int
-    cols: int
-    entries: dict = field(default_factory=dict)
+    _fields = ("rows", "cols", "entries")
+
+    def __init__(self, rows: int, cols: int, entries: dict = None):
+        self.rows, self.cols = rows, cols
+        self.entries = {} if entries is None else entries
 
 
-@dataclass(frozen=True)
-class HomologyGroup:
-    free_rank: int
-    torsion: tuple = ()  # invariant factors > 1, each dividing the next
+class HomologyGroup(_frozen("HomologyGroup", "free_rank torsion")):
+    """Z^free_rank plus Z/d for each invariant factor d in torsion, each
+    > 1 and dividing the next."""
 
-    def __post_init__(self):
-        if self.free_rank < 0:
-            raise ValueError(f"negative free rank {self.free_rank}")
-        if self.torsion and (any(d < 2 for d in self.torsion) or any(
-                b % a for a, b in zip(self.torsion, self.torsion[1:]))):
-            raise ValueError(f"invariant factors {self.torsion} are not a "
+    def __new__(cls, free_rank: int, torsion: tuple = ()):
+        if free_rank < 0:
+            raise ValueError(f"negative free rank {free_rank}")
+        if torsion and (any(d < 2 for d in torsion) or any(
+                b % a for a, b in zip(torsion, torsion[1:]))):
+            raise ValueError(f"invariant factors {torsion} are not a "
                              "divisibility chain of integers > 1")
+        return super().__new__(cls, free_rank, torsion)
 
     def __str__(self):
         parts = ["Z"] * self.free_rank + [f"Z/{d}" for d in self.torsion]
@@ -554,14 +552,15 @@ def _parse_invariant_factors(text: str) -> tuple:
     return HomologyGroup(0, tuple(map(read_int, text.split(";")))).torsion
 
 
-@dataclass
-class HomologyTable:
+class HomologyTable(_Record):
     """Nonzero homology groups per degree inside a finite window."""
 
-    pres_name: str
-    ring: CoefficientRing
-    window: Window
-    groups: dict  # Degree -> HomologyGroup
+    _fields = ("pres_name", "ring", "window", "groups")
+
+    def __init__(self, pres_name: str, ring: CoefficientRing, window: Window,
+                 groups: dict):  # Degree -> HomologyGroup
+        self.pres_name, self.ring, self.window = pres_name, ring, window
+        self.groups = groups
 
     def rank_at(self, deg: Degree) -> int:
         return self.groups[deg].free_rank if deg in self.groups else 0
@@ -636,7 +635,7 @@ def homology_table(pres: Presentation, ring: CoefficientRing, window: Window
     R/(f_j) tensored with the exterior algebra on the other xi.
     """
     bases = window_bases(pres, window, reduced=True)
-    qmin, qmax, tmin, tmax = astuple(window)
+    qmin, qmax, tmin, tmax = window
     cells, shapes = {}, {}  # (q, t) -> (basis, k0, shape id) at a = 0
     for (q, t, a), b in bases.items():
         if not a:

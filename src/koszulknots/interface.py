@@ -8,23 +8,24 @@ torsion disagree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .algebra import CoefficientRing, _is_prime, read_int
+from .algebra import CoefficientRing, _Record, _is_prime, read_int
 from .homology import HomologyTable, TableFormatError, _read_table
 
 
-@dataclass
-class ExternalTable:
+class ExternalTable(_Record):
     """Cells of an independently computed knot-homology table.
 
     cells maps (t, ddagger) to (rank, torsion) where torsion is a tuple of
-    (prime_power, count) pairs as written in the source, e.g. 5^1.
+    (prime_power, count) pairs as written in the source, e.g. 5^1; knot
+    holds the torus parameters (n, m), if declared.
     """
 
-    knot: tuple | None = None  # (n, m) torus parameters, if declared
-    ring: CoefficientRing | None = None
-    cells: dict = field(default_factory=dict)
+    _fields = ("knot", "ring", "cells")
+
+    def __init__(self, knot: tuple | None = None,
+                 ring: CoefficientRing | None = None, cells: dict = None):
+        self.knot, self.ring = knot, ring
+        self.cells = {} if cells is None else cells
 
     def qt_cells(self):
         """Cells re-keyed by (q, t) with q = ddagger + 2t, torsion expanded."""
@@ -82,13 +83,20 @@ def _prime_power_multiset(factors, primes=None):
     return tuple(sorted(out))
 
 
-@dataclass
-class DiffReport:
-    shift: int
-    first_divergence: tuple | None  # (t, q) in the external frame
-    mismatches: list  # [(t, q, model_cell, data_cell)], (t, q) ordered
-    compared_cells: int
-    agreeing_region: tuple | None  # (tmin, tmax) fully matched t-range
+class DiffReport(_Record):
+    """first_divergence is a (t, q) in the external frame, mismatches the
+    (t, q)-ordered [(t, q, model_cell, data_cell)], and agreeing_region
+    the fully matched t-range (tmin, tmax), or None."""
+
+    _fields = ("shift", "first_divergence", "mismatches", "compared_cells",
+               "agreeing_region")
+
+    def __init__(self, shift: int, first_divergence: tuple | None,
+                 mismatches: list, compared_cells: int,
+                 agreeing_region: tuple | None):
+        self.shift, self.first_divergence = shift, first_divergence
+        self.mismatches, self.compared_cells = mismatches, compared_cells
+        self.agreeing_region = agreeing_region
 
     @property
     def agree(self):

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property, partial
 from heapq import heapify, heappop, heappush
 
-from .algebra import (_is_prime, exponent_range, exponent_rows,
-                      grading_functional)
+from .algebra import (_Record, _frozen, _is_prime, exponent_range,
+                      exponent_rows, grading_functional)
 from .presentations import _D0_DATA, _PROJECTOR_GENS, _row, \
     stable_presentation
 
@@ -160,8 +159,7 @@ def product(factors) -> LaurentPoly:
     return out
 
 
-@dataclass(frozen=True)
-class RationalFunction:
+class RationalFunction(_frozen("RationalFunction", "num den_factors")):
     """num over den_factors, the product of the binomials (1 - c*q^i t^j a^k).
 
     Each factor is a pair (c, (i, j, k)); rf_factored builds one from
@@ -171,13 +169,11 @@ class RationalFunction:
     least common multiple of the lists, not over the concatenation.
     """
 
-    num: LaurentPoly
-    den_factors: tuple
-
-    def __post_init__(self):
+    def __new__(cls, num: LaurentPoly, den_factors: tuple):
         # Z[q+-, t+-, a+-] is a domain: the product vanishes iff a factor does
-        if any(c == 1 and not any(m) for c, m in self.den_factors):
+        if any(c == 1 and not any(m) for c, m in den_factors):
             raise ZeroDivisionError("zero denominator")
+        return super().__new__(cls, num, den_factors)
 
     @cached_property
     def den(self) -> LaurentPoly:
@@ -240,17 +236,12 @@ def identity_check(lhs: RationalFunction, rhs: RationalFunction) -> bool:
     return (lhs.num * rhs.den - rhs.num * lhs.den).is_zero()
 
 
-@dataclass(frozen=True)
-class SeriesWindow:
-    tmin: int
-    tmax: int
-    qmin: int
-    qmax: int
-
-    def __post_init__(self):
-        if self.qmin > self.qmax or self.tmin > self.tmax:
-            raise ValueError(f"empty window q:{self.qmin}..{self.qmax}, "
-                             f"t:{self.tmin}..{self.tmax}")
+class SeriesWindow(_frozen("SeriesWindow", "tmin tmax qmin qmax")):
+    def __new__(cls, tmin: int, tmax: int, qmin: int, qmax: int):
+        if qmin > qmax or tmin > tmax:
+            raise ValueError(f"empty window q:{qmin}..{qmax}, "
+                             f"t:{tmin}..{tmax}")
+        return super().__new__(cls, tmin, tmax, qmin, qmax)
 
     def contains(self, q, t):
         return self.qmin <= q <= self.qmax and self.tmin <= t <= self.tmax
@@ -620,13 +611,17 @@ def list_formulas():
 # torus-knot assemblies
 
 
-@dataclass
-class Assembly:
-    """A weighted sum of projector series for one torus knot."""
+class Assembly(_Record):
+    """A weighted sum of projector series for one torus knot: shift_q is the
+    stated overall q-shift, metadata only, and polynomial is set when exact
+    division certifies it."""
 
-    rational: RationalFunction
-    shift_q: int | None  # the stated overall q-shift, metadata only
-    polynomial: LaurentPoly | None  # set when exact division certifies it
+    _fields = ("rational", "shift_q", "polynomial")
+
+    def __init__(self, rational: RationalFunction, shift_q: int | None,
+                 polynomial: LaurentPoly | None):
+        self.rational, self.shift_q = rational, shift_q
+        self.polynomial = polynomial
 
     @property
     def is_polynomial(self):
