@@ -19,7 +19,8 @@ only for a basis monomial.  d_matrix assembles exact integer matrices
 with one int add and one lookup per image term; GradedBasis decodes
 pairs only when read; apply_d is the term-by-term reference.  One row
 echelon loop gives the ranks over Q (fraction-free) and F_p; over Z one
-Smith loop pivots on the +-1 entries, then on the least entries.
+Smith loop pivots on the +-1 entries, then on the least entries, and only
+diagonalizes: gcd and lcm turn the diagonal into the invariant factors.
 homology_table is the one homology path: one enumeration, one pass that
 takes each matrix's rank or Smith form once per translation class (five
 small ints, each basis shape interned) and one that forms the groups, on
@@ -341,21 +342,21 @@ def _echelon(mat: IntegerMatrix, p: int = 0) -> dict:
     return pivots
 
 
-def smith_normal_form(mat: IntegerMatrix, transforms: bool = False):
+def smith_normal_form(mat: IntegerMatrix):
     """Invariant factors of an integer matrix, by the one Smith loop over Z.
 
-    Returns (factors, U, V) with U*mat*V diagonal on the factors; factors
-    are positive and each divides the next.  U, V are None unless asked for,
-    and transforms only records the operations.  The pivot is a unit while
-    one is left: each sweep visits, in order, the columns that gained a +-1
-    since the last one and takes the unit of the shortest row (the
-    elimination step of Dumas, Saunders and Villard, J. Symbolic Comput.
-    32, 2001).  Then it is an entry of least absolute value.  Its column is
-    cleared by row operations and its row by column operations, a nonzero
-    remainder becoming the pivot, and a row that the pivot does not divide
-    is added to the pivot row.  The column operations touch no other row, so
-    they are only recorded: a unit's row leaves as soon as its column is
-    clear.
+    Returns (factors, None, None), the tuple its callers index: the factors
+    are positive, units first, and each divides the next.  The loop only
+    diagonalizes.  The pivot is a unit while one is left: each sweep
+    visits, in order, the columns that gained a +-1 since the last one and
+    takes the unit of the shortest row (the elimination step of Dumas,
+    Saunders and Villard, J. Symbolic Comput. 32, 2001).  Then it is an
+    entry of least absolute value.  Its column is cleared by row
+    operations, and the rest of its row reduced mod the pivot by column
+    operations, which touch no other row; a nonzero remainder becomes the
+    pivot.  Otherwise the row and column leave (a unit's as soon as its
+    column is clear), and |pivot| joins the diagonal, which
+    _invariant_factors turns into the divisibility chain.
     """
     rows, fresh, sweep = defaultdict(dict), set(), []
     # col -> rows that held it, in order; a row that left or whose entry
@@ -367,8 +368,6 @@ def smith_normal_form(mat: IntegerMatrix, transforms: bool = False):
             cols[c][r] = None
             if v in (1, -1):
                 fresh.add(c)
-    U, V = [[[int(i == j) for j in range(n)] for i in range(n)]
-            for n in ((mat.rows, mat.cols) if transforms else (0, 0))]
 
     def add_row(src, dst, k):
         # row dst += k * row src
@@ -383,10 +382,8 @@ def smith_normal_form(mat: IntegerMatrix, transforms: bool = False):
                     fresh.add(c)
             else:
                 del row[c]
-        if U:
-            U[dst] = [a + k * b for a, b in zip(U[dst], U[src])]
 
-    factors, order = [], []
+    diagonal = []
     while True:
         if not sweep:
             sweep = sorted(fresh, reverse=True)
@@ -413,39 +410,26 @@ def smith_normal_form(mat: IntegerMatrix, transforms: bool = False):
                     r = r2
                     break
             else:  # column c holds only the pivot
-                if piv in (1, -1):
+                if piv in (1, -1) or (c2 := next(
+                        (x for x, v in rows[r].items() if v % piv),
+                        None)) is None:
                     break
-                if (c2 := next((x for x, v in rows[r].items() if v % piv),
-                               None)) is not None:
-                    k = rows[r][c2] // piv  # col c2 -= k * col c
-                    for row in V:
-                        row[c2] -= k * row[c]
-                    rows[r][c2] -= k * piv
-                    c = c2
-                elif (bad := next((x for x, row in rows.items()
-                                   for v in row.values() if v % piv),
-                                  None)) is not None:
-                    add_row(bad, r, 1)
-                else:
-                    break
-        prow = rows.pop(r)
-        for cc in prow if V else ():
-            if cc != c:  # col cc -= (prow[cc] / piv) * col c
-                for row in V:
-                    row[cc] -= prow[cc] // piv * row[c]
-        if piv < 0 and U:
-            U[r] = [-a for a in U[r]]
-        factors.append(abs(piv))
-        order.append((r, c))
-        del cols[c]
-    if not transforms:
-        return factors, None, None
-    # pivot rows and columns first, in the order they left
-    done_r = [r for r, _c in order]
-    done_c = [c for _r, c in order]
-    U = [U[r] for r in done_r + sorted(set(range(len(U))) - set(done_r))]
-    perm = done_c + sorted(set(range(len(V))) - set(done_c))
-    return factors, U, [[row[c] for c in perm] for row in V]
+                rows[r][c2] %= piv  # col c2 -= (rows[r][c2] // piv) * col c
+                c = c2
+        del rows[r], cols[c]
+        diagonal.append(abs(piv))
+    return _invariant_factors(diagonal), None, None
+
+
+def _invariant_factors(diagonal: list) -> list:
+    """The invariant factors of a diagonal matrix: its non-unit entries,
+    sorted, with each pair (a, b) replaced by (gcd, lcm) in turn, which
+    keeps each prime's exponents and leaves a divisibility chain."""
+    chain = sorted(d for d in diagonal if d != 1)
+    for i, j in itertools.combinations(range(len(chain)), 2):
+        g = gcd(chain[i], chain[j])
+        chain[i], chain[j] = g, chain[i] // g * chain[j]
+    return [1] * (len(diagonal) - len(chain)) + chain
 
 
 def rank_mod_p(mat: IntegerMatrix, p: int) -> int:

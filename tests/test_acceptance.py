@@ -10,6 +10,8 @@ import os
 import random
 import time
 from contextlib import contextmanager
+from math import gcd
+from operator import mul
 
 from koszulknots.algebra import (Degree, Monomial, QQ, ZZ, mono_degree,
                                  mono_mul, prime_field, SuperPolynomial)
@@ -42,6 +44,12 @@ def criterion(num, label, budget):
     print(f"criterion {num:2d} ({label}): PASS  "
           f"[{elapsed:.2f}s / {budget:.0f}s]")
     assert elapsed < budget, f"criterion {num} exceeded {budget}s budget"
+
+
+def _det(a):
+    """Integer determinant by cofactor expansion along the first row."""
+    return sum((-1) ** j * v * _det([row[:j] + row[j + 1:] for row in a[1:]])
+               for j, v in enumerate(a[0]) if v) if a else 1
 
 
 def series_equals_homology(pres, rf, tmax, qmax, ring=QQ,
@@ -244,24 +252,24 @@ def test_criterion_10_property_suites():
                     assert modp.rank_at(deg) \
                         == free + p_tors(deg) + p_tors(Degree(q, t + 1))
 
-        # Smith normal form factorization on random matrices
+        # Smith factors against the determinantal divisors, random matrices
         for _ in range(200):
             rows, cols = rng.randrange(1, 6), rng.randrange(1, 6)
             mat = IntegerMatrix(rows, cols,
                                 {(r, c): rng.randrange(-9, 10)
                                  for r in range(rows) for c in range(cols)
                                  if rng.random() < 0.7})
-            factors, U, V = smith_normal_form(mat, transforms=True)
+            factors = smith_normal_form(mat)[0]
             dense = [[mat.entries.get((r, c), 0) for c in range(cols)]
                      for r in range(rows)]
-            prod = [[sum(U[i][k] * dense[k][j] for k in range(rows))
-                     for j in range(cols)] for i in range(rows)]
-            d = [[sum(prod[i][k] * V[k][j] for k in range(cols))
-                  for j in range(cols)] for i in range(rows)]
-            for i in range(rows):
-                for j in range(cols):
-                    want = factors[i] if i == j and i < len(factors) else 0
-                    assert d[i][j] == want
+            # d_1...d_k is the gcd of the k x k minors, 0 past the rank
+            products = list(itertools.accumulate(factors, mul))
+            for k in range(1, min(rows, cols) + 1):
+                minors = [_det([[dense[r][c] for c in cs] for r in rs])
+                          for rs in itertools.combinations(range(rows), k)
+                          for cs in itertools.combinations(range(cols), k)]
+                want = products[k - 1] if k <= len(products) else 0
+                assert gcd(*minors) == want
             for a, b in zip(factors, factors[1:]):
                 assert b % a == 0
 

@@ -8,8 +8,10 @@ import random
 import subprocess
 import sys
 import time
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
+from math import gcd, prod
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,7 +42,8 @@ def dense(mat):
 
 
 def det(rows):
-    """Integer determinant by fraction-free Gaussian elimination."""
+    """Integer determinant by fraction-free Gaussian elimination (1 for the
+    empty matrix)."""
     n = len(rows)
     a = [list(r) for r in rows]
     sign = 1
@@ -58,7 +61,7 @@ def det(rows):
             for j in range(k + 1, n):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    return sign * a[n - 1][n - 1] if n else 1
 
 
 def int_matrices(size, values=st.one_of(st.sampled_from([-1, 0, 1]),
@@ -96,34 +99,36 @@ def dense_rank(mat, p=None):
     return rank
 
 
-def check_smith_certificate(mat):
-    """U * M * V = D with U, V unimodular and D diagonal on a divisibility
-    chain of positive factors; returns the factors."""
-    factors, U, V = smith_normal_form(mat, transforms=True)
-    assert abs(det(U)) == 1
-    assert abs(det(V)) == 1
-    du, dm, dv = U, dense(mat), V
-    prod = [[sum(du[i][k] * dm[k][j] for k in range(mat.rows))
-             for j in range(mat.cols)] for i in range(mat.rows)]
-    d = [[sum(prod[i][k] * dv[k][j] for k in range(mat.cols))
-          for j in range(mat.cols)] for i in range(mat.rows)]
-    for i in range(mat.rows):
-        for j in range(mat.cols):
-            want = factors[i] if i == j and i < len(factors) else 0
-            assert d[i][j] == want
+def minors(mat, k):
+    """Every k x k minor of mat, rows and columns in lexicographic order."""
+    a = dense(mat)
+    for rs in itertools.combinations(range(mat.rows), k):
+        for cs in itertools.combinations(range(mat.cols), k):
+            yield det([[a[r][c] for c in cs] for r in rs])
+
+
+def check_smith_factors(mat):
+    """The factors are positive, each divides the next, and d_1...d_k is the
+    gcd of all k x k minors for every k up to min(rows, cols), which is 0
+    past the rank: the factors are the determinantal divisors' quotients.
+    Returns the factors."""
+    factors = smith_normal_form(mat)[0]
     assert all(f > 0 for f in factors)
     for a, b in zip(factors, factors[1:]):
         assert b % a == 0
+    products = list(itertools.accumulate(factors, mul))
+    for k in range(1, min(mat.rows, mat.cols) + 1):
+        want = products[k - 1] if k <= len(products) else 0
+        assert gcd(*minors(mat, k)) == want, k
     return factors
 
 
 @settings(max_examples=300, deadline=None)
 @given(matrices)
 def test_snf_factorization(mat):
-    """U * M * V = D with U, V unimodular and a divisibility chain."""
-    factors = check_smith_certificate(mat)
-    # without transforms the same loop runs and gives the same factors
-    assert smith_normal_form(mat)[0] == factors
+    """The factors are the determinantal divisors' quotients, in a
+    divisibility chain."""
+    check_smith_factors(mat)
 
 
 @settings(max_examples=300, deadline=None)
@@ -243,8 +248,8 @@ def test_dense_rank_without_unit_entries_is_fast():
 
 
 def stalling_smith_input():
-    """The map q^48 t^32 -> q^48 t^31 of the reduced stable(8, 3) complex,
-    on which the Smith loop over Z stalls in coefficient explosion."""
+    """The map q^48 t^32 -> q^48 t^31 of the reduced stable(8, 3) complex:
+    231 x 227, entries +-1, +-3 and +-6, invariant factors up to 126."""
     pres = stable_presentation(8, 3)
     bases = window_bases(pres, Window(48, 48, 31, 32), reduced=True)
     src, dst = bases[Degree(48, 32)], bases[Degree(48, 31)]
@@ -252,17 +257,23 @@ def stalling_smith_input():
 
 
 def test_stalling_smith_input_is_pinned():
-    """Shape, entries and ranks of the stalling input: its cokernel has 2-,
-    3- and 7-torsion and none at 5, 11 or 13.  Its Smith form is not
-    taken here; it does not finish in minutes."""
+    """Shape, entries, ranks and Smith form of the stalling input: its
+    cokernel has 2-, 3- and 7-torsion and none at 5, 11 or 13, and for
+    each p the number of factors p divides is the rank over Q less the
+    rank over F_p."""
     mat = stalling_smith_input()
     values = list(mat.entries.values())
     assert (mat.rows, mat.cols, len(values)) == (231, 227, 986)
     assert sum(v in (1, -1) for v in values) == 84
     assert set(values) == {1, -1, 3, -3, 6, -6}
     assert rank_exact(mat) == 140
-    assert [rank_mod_p(mat, p) for p in (2, 3, 5, 7, 11, 13)] \
-        == [133, 77, 140, 137, 140, 140]
+    ranks = [rank_mod_p(mat, p) for p in (2, 3, 5, 7, 11, 13)]
+    assert ranks == [133, 77, 140, 137, 140, 140]
+    factors = smith_normal_form(mat)[0]
+    assert sorted(Counter(factors).items()) \
+        == [(1, 77), (3, 56), (6, 4), (42, 2), (126, 1)]
+    for p, rank_p in zip((2, 3, 5, 7, 11, 13), ranks):
+        assert sum(f % p == 0 for f in factors) == 140 - rank_p
 
 
 SMITH_EXAMPLES = (
@@ -271,8 +282,10 @@ SMITH_EXAMPLES = (
     ([[1, 2], [3, 5]], [1, 1]),
     # no unit at first: the remainder 1 of 3 by 2 becomes the pivot
     ([[2, 4], [3, 5]], [1, 2]),
-    # 2 does not divide 3: row 1 is added to the pivot row
+    # the diagonal 2, 3 is no chain: gcd and lcm make it 1, 6
     ([[2, 0], [0, 3]], [1, 6]),
+    # sorted, diag(6, 4, 9) is 4, 6, 9; only gcd and lcm give 1, 6, 36
+    ([[6, 0, 0], [0, 4, 0], [0, 0, 9]], [1, 6, 36]),
     ([[0, 0, 0], [0, 0, 0]], []),
 )
 
@@ -283,20 +296,33 @@ def test_snf_known_example():
             (r, c): v for r, row in enumerate(rows)
             for c, v in enumerate(row)})
         assert smith_normal_form(mat) == (factors, None, None)
-        assert check_smith_certificate(mat) == factors
+        assert check_smith_factors(mat) == factors
 
 
 def test_snf_certificate_on_table_matrices():
-    """U * M * V = D on every matrix of a small table over Z: the loop
-    that records U and V is the one the tables run."""
+    """The factors of every matrix of a small table over Z, all 1 or 3,
+    fixed exactly by two checks.  For each p, the number of factors p
+    divides is the rank over Q less the rank over F_p.  And the gcd of the
+    r x r minors, r the rank, taken until it reaches the product 3^m of the
+    factors, is 3^m.  That gcd is a multiple of the true d_1...d_r, which
+    has m factors divisible by 3 (the rank counts), so it is 3^m too."""
     mats = _table_matrices(stable_presentation(4, 3), Window(0, 40, 0, 14))
     assert len(mats) == 57
-    factors = set()
+    found = set()
     for mat in mats:
-        found = check_smith_certificate(mat)
-        assert smith_normal_form(mat)[0] == found
-        factors.update(found)
-    assert factors == {1, 3}  # the table's Z/3 classes
+        factors = smith_normal_form(mat)[0]
+        rank = rank_exact(mat)
+        assert len(factors) == rank
+        for p in (2, 3, 5, 7):
+            assert sum(f % p == 0 for f in factors) \
+                == rank - rank_mod_p(mat, p)
+        g, want = 0, prod(factors)
+        for minor in minors(mat, rank):
+            if (g := gcd(g, minor)) == want:
+                break
+        assert g == want
+        found.update(factors)
+    assert found == {1, 3}  # the table's Z/3 classes
 
 
 def test_homology_group_rejects_broken_divisibility_chain():
