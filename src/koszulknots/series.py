@@ -14,7 +14,7 @@ certifies binomial by binomial.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
+from collections import Counter, defaultdict
 from functools import cached_property, partial
 from heapq import heapify, heappop, heappush
 
@@ -144,12 +144,17 @@ def qta(q: int = 0, t: int = 0, a: int = 0, coeff: int = 1) -> LaurentPoly:
 ONE = qta()
 
 
+def _binomial(c: int, m: tuple) -> LaurentPoly:
+    """1 - c x^m; the constant 1 - c when m = (0, 0, 0)."""
+    return LaurentPoly({(0, 0, 0): 1, m: -c} if any(m) else {m: 1 - c})
+
+
 def one_minus(q: int, t: int = 0, a: int = 0) -> LaurentPoly:
-    return ONE - qta(q, t, a)
+    return _binomial(1, (q, t, a))
 
 
 def one_plus(q: int, t: int = 0, a: int = 0) -> LaurentPoly:
-    return ONE + qta(q, t, a)
+    return _binomial(-1, (q, t, a))
 
 
 def product(factors) -> LaurentPoly:
@@ -177,7 +182,7 @@ class RationalFunction(_frozen("RationalFunction", "num den_factors")):
 
     @cached_property
     def den(self) -> LaurentPoly:
-        return product(ONE - qta(*m, coeff=c) for c, m in self.den_factors)
+        return product(_binomial(c, m) for c, m in self.den_factors)
 
     @classmethod
     def of(cls, poly: LaurentPoly):
@@ -292,39 +297,48 @@ def expand(rf: RationalFunction, window: SeriesWindow) -> dict:
                     del new[key]
                 acc *= c
         coeffs = new
+    tmin, tmax, qmin, qmax = window
     return {(q, t): v for (q, t), v in coeffs.items()
-            if window.contains(q, t)}
+            if qmin <= q <= qmax and tmin <= t <= tmax}
 
 
 def _divide_binomial(num: LaurentPoly, den: LaurentPoly):
     """exact_divide for den = c0 x^m0 + c1 x^m1, m = m1 - m0 above 0.
 
     den maps each line b + j m to itself: along it, num / x^m0 = P gives
-    Q_j = (P_j - c1 Q_{j-1}) / c0, walking j upwards.  The division is exact
-    iff every step divides and the line's last term leaves residue 0.
+    Q_j = (P_j - c1 Q_{j-1}) / c0, walking j upwards, a product when c0 is
+    a unit (1 / c0 = c0).  The division is exact iff every step divides and
+    the line's last term leaves residue 0, so a line of one term fails at
+    once.  Only the nonzero Q_j are stored.
     """
     m0, c0 = den.min_term()
     (m1, c1), = ((m, c) for m, c in den.terms.items() if m != m0)
     s0, s1, s2 = step = (m1[0] - m0[0], m1[1] - m0[1], m1[2] - m0[2])
     i = 0 if s0 else 1 if s1 else 2  # a coordinate that moves along a line
-    lines = {}
+    (o0, o1, o2), si, oi = m0, step[i], m0[i]
+    rows, unit = defaultdict(dict), c0 in (1, -1)
     for e, c in num.terms.items():
-        j = (e[i] - m0[i]) // step[i]
-        lines.setdefault((e[0] - m0[0] - j * s0, e[1] - m0[1] - j * s1,
-                          e[2] - m0[2] - j * s2), {})[j] = c
+        j = (e[i] - oi) // si
+        rows[e[0] - o0 - j * s0, e[1] - o1 - j * s1, e[2] - o2 - j * s2][j] = c
     quo = {}
-    for (b0, b1, b2), row in lines.items():
+    for (b0, b1, b2), row in rows.items():
+        if len(row) == 1:
+            return None
         js = sorted(row)
         j, last, prev = js[0], js[-1], 0
         while j < last:
             r = row.get(j, 0) - c1 * prev
-            if r % c0:
+            if not unit and r % c0:
                 return None
-            prev = quo[(b0 + j * s0, b1 + j * s1, b2 + j * s2)] = r // c0
+            prev = r * c0 if unit else r // c0
+            if prev:
+                quo[(b0 + j * s0, b1 + j * s1, b2 + j * s2)] = prev
             j = j + 1 if prev else js[bisect_right(js, j)]  # skip a zero run
         if row[last] != c1 * prev:
             return None
-    return LaurentPoly(quo)
+    out = LaurentPoly()
+    out.terms = quo  # nonzero already
+    return out
 
 
 def exact_divide(num: LaurentPoly, den: LaurentPoly):
@@ -653,25 +667,25 @@ def _finish(parts, shift_q) -> Assembly:
     """
     summands, lcm = [], Counter()
     for weight, rf in parts:
-        num, factors = weight * rf.num, Counter()
+        factors = Counter()
         for c, m in rf.den_factors:
             if abs(c) != 1:
                 raise ValueError(f"denominator factor (c={c}, m={m}): "
                                  "c must be +-1 to be normalised")
             if (m[1], m[0], m[2]) < (0, 0, 0):
                 m = (-m[0], -m[1], -m[2])
-                num = num * qta(*m, coeff=-c)
+                weight = weight * qta(*m, coeff=-c)
             factors[(c, m)] += 1
-        summands.append((num, factors))
+        summands.append((rf.num * weight, factors))
         lcm |= factors
-    total = LaurentPoly.zero()
+    total = Counter()
     for num, factors in summands:
-        total = total + num * product(ONE - qta(*m, coeff=c)
-                                      for c, m in (lcm - factors).elements())
-    quo = total
+        total.update((num * product(_binomial(c, m) for c, m in
+                                    (lcm - factors).elements())).terms)
+    quo = total = LaurentPoly(total)
     for c, m in lcm.elements():
         if quo is not None:
-            quo = exact_divide(quo, ONE - qta(*m, coeff=c))
+            quo = exact_divide(quo, _binomial(c, m))
     return Assembly(RationalFunction(total, tuple(lcm.elements())),
                     shift_q, quo)
 

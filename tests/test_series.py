@@ -1,5 +1,6 @@
 """Closed-form series: catalogue, expansion, assemblies."""
 
+import random
 from math import gcd
 
 import pytest
@@ -320,6 +321,47 @@ def test_exact_divide_binomial_matches_reference():
     assert exact_divide(one_plus(4, 1) * den + ONE, den) is None
 
 
+def _random_binomial(rng):
+    """c0 x^m0 + c1 x^(m0 + step): c0 a unit or not, m0 off the origin, and
+    a step whose first moving coordinate is q, t or a."""
+    moves = rng.choice("qta")
+    if moves == "q":
+        t = rng.randint(0, 2)
+        q = rng.choice([k for k in range(-3, 4) if k and (t or k > 0)])
+    else:
+        q, t = 0, rng.randint(1, 3) if moves == "t" else 0
+    step = (q, t, rng.randint(-2, 2) if moves != "a" else rng.randint(1, 3))
+    m0 = (0, 0, 0)
+    while m0 == (0, 0, 0):
+        m0 = tuple(rng.randint(-4, 4) for _ in range(3))
+    c0 = rng.choice((1, -1, 2, -2, 3, -3))
+    c1 = rng.choice([c for c in range(-3, 4) if c])
+    m1 = tuple(a + b for a, b in zip(m0, step))
+    return LaurentPoly({m0: c0, m1: c1})
+
+
+def test_binomial_division_matches_reference_on_random_cases():
+    # 3,000 exact divisions and 3,000 with one term changed; a monomial is
+    # never a multiple of a binomial, so every changed one is inexact
+    rng = random.Random(20141)
+    for _ in range(3000):
+        den = _random_binomial(rng)
+        quo = LaurentPoly({
+            tuple(rng.randint(-3, 3) for _ in "qta"): rng.randint(-3, 3)
+            for _ in range(rng.randint(1, 6))})
+        num = quo * den
+        assert exact_divide(num, den) == quo
+        assert _exact_divide_reference(num, den) == quo
+        # often a line's last term or a step in the middle of a line
+        if num.terms and rng.random() < 0.7:
+            e = rng.choice(sorted(num.terms))
+        else:
+            e = tuple(rng.randint(-6, 6) for _ in range(3))
+        num = num + qta(*e, coeff=rng.choice((1, -1, 2, -3)))
+        assert _exact_divide_reference(num, den) is None
+        assert exact_divide(num, den) is None
+
+
 def _cross_multiplied(parts):
     """An assembly's sum as + builds it: over the product of every
     summand's denominator."""
@@ -480,6 +522,34 @@ def test_catalogue_is_the_reference_table():
     with pytest.raises(ValueError, match=r"P_sym2_homfly takes parameters "
                                          r"\[\], got \['N'\]"):
         formula("P_sym2_homfly", N=3)
+
+
+def test_den_is_the_product_of_the_binomials():
+    """den, built by the one binomial constructor, is the product of the
+    binomials 1 - c x^m spelt out from qta."""
+    def reference(rf):
+        return product(ONE - qta(*m, coeff=c) for c, m in rf.den_factors)
+
+    checked = 0
+    for name in list_formulas():
+        if name == "P_ZN":
+            grid = [{"n": n, "N": N} for n in range(1, 6) for N in (2, 3, 5)]
+        elif name.endswith("_dN"):
+            grid = [{"N": N} for N in range(2, 6)]
+        else:
+            grid = [{}]
+        for params in grid:
+            try:
+                rf = formula(name, **params)
+            except ValueError:  # not catalogued at these parameters
+                continue
+            assert rf.den == reference(rf), (name, params)
+            checked += 1
+    assert checked == 113
+    # m = (0, 0, 0) makes the constant 1 - c
+    for c in (-1, 2, 3):
+        rf = RationalFunction(one_plus(1), ((c, (0, 0, 0)), (1, (2, 1, 0))))
+        assert rf.den == reference(rf) == one_minus(2, 1) * (1 - c)
 
 
 def test_formula_calls_the_builders_of_the_module(monkeypatch):
@@ -729,6 +799,27 @@ def test_finish_sums_over_common_factor_list():
     assert asm.polynomial is None
     with pytest.raises(ValueError, match="must be \\+-1"):
         _finish([(ONE, rf_factored(ONE, (2, (2, 0))))], None)
+
+
+def test_assemblies_divide_through_the_module_exact_divide(monkeypatch):
+    """_finish divides by each lcm factor through series.exact_divide, so a
+    wrapper set there (a tracer's span, a patch) sees every division."""
+    import koszulknots.series as series
+    divide, calls = series.exact_divide, []
+
+    def record(num, den):
+        calls.append(den)
+        return divide(num, den)
+
+    monkeypatch.setattr(series, "exact_divide", record)
+    for assemble, m, N in ((assemble_torus3, 20, 3), (assemble_torus2, 41, 4)):
+        calls.clear()
+        asm = assemble(m, N)
+        assert asm.is_polynomial
+        assert len(calls) == len(asm.rational.den_factors) > 0
+    monkeypatch.setattr(series, "exact_divide", lambda num, den: None)
+    assert not assemble_torus3(20, 3).is_polynomial
+    assert not assemble_torus2(41, 4).is_polynomial
 
 
 def test_homfly_assembly_is_rational():
