@@ -213,15 +213,24 @@ def exponent_range(rows, q, t, budget, weight):
     return lo, hi
 
 
-def _is_prime(p: int) -> bool:
-    if not isinstance(p, int) or p < 2:
-        return False
+def _factors(n: int):
+    """(p, k) for each prime power p^k exactly dividing n, p increasing, by
+    trial division; nothing for n < 2."""
     d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
+    while n > 1:
+        d = d if d * d <= n else n
+        k = 0
+        while n % d == 0:
+            n //= d
+            k += 1
+        if k:
+            yield d, k
         d += 1
-    return True
+
+
+def _is_prime(p: int) -> bool:
+    # the first factor of a composite is its least prime: no further search
+    return isinstance(p, int) and p > 1 and next(_factors(p)) == (p, 1)
 
 
 class CoefficientRing(_frozen("CoefficientRing", "kind p")):
@@ -310,6 +319,19 @@ def mono_degree(m: Monomial, pres) -> Degree:
     for j in m.odd:
         deg = deg + pres.odd_degrees[j]
     return deg
+
+
+def _power_product(powers) -> str:
+    """s^e joined by * for the (symbol, e) pairs with e > 0, ^1 left out."""
+    return "*".join(s if e == 1 else f"{s}^{e}" for s, e in powers if e)
+
+
+def _signed_sum(terms, sep: str = "") -> str:
+    """c body + ... - ... for (c, body) terms, "0" for none: c = +-1 shows
+    only its sign, an empty body the bare c, and sep joins c and body."""
+    pieces = (str(c) if not body else body if c == 1 else f"-{body}"
+              if c == -1 else f"{c}{sep}{body}" for c, body in terms)
+    return " + ".join(pieces).replace(" + -", " - ") or "0"
 
 
 class SuperPolynomial:
@@ -404,34 +426,11 @@ class SuperPolynomial:
     def text(self, pres) -> str:
         """Canonical text form, e.g. ``2*x1*xi0 - x0*xi1``, with terms in
         graded-lex order (t, q, evenExp, oddSet)."""
-        if not self.terms:
-            return "0"
-        pieces = []
-        for m in sorted(self.terms, key=lambda m: (
-                mono_degree(m, pres).key(), m.even, m.odd)):
-            c = self.terms[m]
-            factors = []
-            for i, e in enumerate(m.even):
-                if e == 1:
-                    factors.append(pres.even_symbols[i])
-                elif e > 1:
-                    factors.append(f"{pres.even_symbols[i]}^{e}")
-            for j in m.odd:
-                factors.append(pres.odd_symbols[j])
-            body = "*".join(factors) if factors else "1"
-            if c == 1 and factors:
-                term = body
-            elif c == -1 and factors:
-                term = f"-{body}"
-            elif factors:
-                term = f"{c}*{body}"
-            else:
-                term = str(c)
-            pieces.append(term)
-        out = pieces[0]
-        for term in pieces[1:]:
-            out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-        return out
+        order = sorted(self.terms, key=lambda m: (
+            mono_degree(m, pres).key(), m.even, m.odd))
+        return _signed_sum(((self.terms[m], _power_product([
+            *zip(pres.even_symbols, m.even),
+            *((pres.odd_symbols[j], 1) for j in m.odd)])) for m in order), "*")
 
     def __repr__(self):
         return f"SuperPolynomial({len(self.terms)} terms)"

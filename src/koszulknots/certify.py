@@ -13,7 +13,7 @@ from .homology import GradedBasis, IntegerMatrix, Window, d_matrix, \
     homology_at, homology_table, rank_exact, window_bases
 from .presentations import Presentation, _mu_sum, apply_d, mu, \
     reduced_presentation, stable_presentation
-from .series import SeriesWindow, expand, free_series
+from .series import LaurentPoly, SeriesWindow, expand, free_series
 
 
 class CertificateReport(_Record):
@@ -166,7 +166,8 @@ def reduced_factorization_check(n: int, N: int,
 
     The reduced (n, N) homology should match a free factor on
     xi_1..xi_{N-1}, x_{n-N+1}..x_{n-1} tensored with the relabeled
-    stable (n-N, N) homology, all over Q.
+    stable (n-N, N) homology, all over Q: the free factor's free_series
+    times the stable ranks, expanded once on the window.
     """
     if n <= N:
         raise ValueError(f"need n > N, got n={n}, N={N}")
@@ -174,23 +175,18 @@ def reduced_factorization_check(n: int, N: int,
 
     pres = reduced_presentation(n, N)
     lhs = homology_table(pres, QQ, window)
-    # graded dimensions of Z[xi_1..xi_{N-1}, x_{n-N+1}..x_{n-1}]
-    free = expand(free_series(pres.even_degrees[n - N:],
-                              pres.odd_degrees[:N - 1]),
-                  SeriesWindow(0, window.tmax, 0, window.qmax))
     rhs_table = homology_table(_relabeled_stable(n - N, N), QQ, window)
-
-    rhs = {}
-    for (q, t), c1 in free.items():
-        for d2, g in rhs_table.groups.items():
-            d = Degree(q, t) + d2
-            if window.contains(d):
-                rhs[d] = rhs.get(d, 0) + c1 * g.free_rank
+    rhs = expand(free_series(pres.even_degrees[n - N:],
+                             pres.odd_degrees[:N - 1])
+                 * LaurentPoly({tuple(d): g.free_rank
+                                for d, g in rhs_table.groups.items()}),
+                 SeriesWindow(window.tmin, window.tmax,
+                              window.qmin, window.qmax))
 
     mismatches = []
     for deg in window.degrees():
         l = lhs.rank_at(deg)
-        r = rhs.get(deg, 0)
+        r = rhs.get((deg.q, deg.t), 0)
         if l != r:
             mismatches.append((deg, l, r))
     report.add(
@@ -211,32 +207,21 @@ def generator_saturation_check(n: int, N: int,
 
     Experimental: compares, per bidegree, the rank of the span of cycles
     from the x/mu subalgebra inside homology with the full homology rank.
+    The x^e mu_S of a degree with homology come from window_bases on the
+    free algebra on the x_k and the odd mu_k; each maps to its product in
+    index order, if nonzero.
     """
     if n > 4 or N > 3:
         raise ValueError(f"desk scale is n <= 4, N <= 3; got n={n}, N={N}")
     pres = stable_presentation(n, N)
     report = CertificateReport(f"generators:{n},{N}")
 
-    # products of x's and mu's with total degree in the window
-    gens = [(pres.gen(f"x{k}"), pres.even_degrees[k]) for k in range(n)]
-    mus = [(mu(k, n, N), pres.even_degrees[0] + pres.odd_degrees[k])
-           for k in range(1, n)]
-    products = {Degree(0, 0): [pres.one()]}
-    frontier = [(pres.one(), Degree(0, 0), 0)]
-    pool = gens + mus
-    while frontier:
-        poly, deg, start = frontier.pop()
-        for idx in range(start, len(pool)):
-            g, gd = pool[idx]
-            nd = deg + gd
-            if nd.t > window.tmax or nd.q > window.qmax:
-                continue
-            np_ = poly * g
-            if np_.is_zero():
-                continue
-            products.setdefault(nd, []).append(np_)
-            frontier.append((np_, nd, idx))
-
+    mus = [mu(k, n, N) for k in range(1, n)]
+    free = Presentation(f"x/mu({n},{N})", pres.even_symbols,
+                        pres.even_degrees, [f"mu{k}" for k in range(1, n)],
+                        [pres.even_degrees[0] + pres.odd_degrees[k]
+                         for k in range(1, n)], [None] * (n - 1))
+    walk = window_bases(free, window)
     bases = window_bases(pres, window)
     table = homology_table(pres, QQ, window)
     mismatches = []
@@ -249,7 +234,13 @@ def generator_saturation_check(n: int, N: int,
         m_in = d_matrix(pres, above, src=bases.get(above)
                         or GradedBasis(above, []), dst=basis)
         index = {pair: i for i, pair in enumerate(basis.exps)}
-        cand = products.get(deg, [])
+        cand = []
+        for even, odd in walk[deg].exps if deg in walk else ():
+            poly = SuperPolynomial.from_monomial(Monomial(even))
+            for j in odd:
+                poly = poly * mus[j]
+            if poly:
+                cand.append(poly)
         # rank of [image | candidates] minus rank of image = span in homology
         cols = dict(m_in.entries)
         c0 = m_in.cols

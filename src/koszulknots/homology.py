@@ -38,7 +38,7 @@ from math import gcd
 from operator import itemgetter, mul
 
 from .algebra import (CoefficientRing, Degree, Monomial, T_STEP, _Record,
-                      _frozen, exponent_range, exponent_rows,
+                      _frozen, _power_product, exponent_range, exponent_rows,
                       grading_functional, mono_degree, read_int)
 from .presentations import Presentation
 
@@ -170,8 +170,7 @@ def _search(pres: Presentation, corners, reduced: bool = False) -> dict:
     ev = tuple((d.q, d.t, d.a) for d in pres.even_degrees)
     lam, witness = grading_functional(ev)
     if lam is None:
-        product = "*".join(s if e == 1 else f"{s}^{e}"
-                           for s, e in zip(pres.even_symbols, witness) if e)
+        product = _power_product(zip(pres.even_symbols, witness))
         raise NonProperGradingError(
             f"{pres.name} has infinite graded pieces "
             f"(degree-0 product witness: {product})")
@@ -271,13 +270,16 @@ def d_matrix(pres: Presentation, deg: Degree,
     d(xi_j) in pres.image_terms.  A term's row has the key src key + delta,
     delta = packed f + code(S - j) - code(S), compiled once per walk and
     odd part S.  So src and dst must share the layout of one walk of pres,
-    as the default bases do, or ValueError is raised.  apply_d computes the
-    same images through SuperPolynomial products, for the tests.
+    as the default bases do (both or neither given), or ValueError is
+    raised.  apply_d computes the same images through SuperPolynomial
+    products, for the tests.
     """
-    if src is None or dst is None:
+    if (src is None) != (dst is None):
+        raise ValueError("d_matrix takes both bases or neither")
+    if src is None:
         walk = _search(pres, [deg, deg - T_STEP])
-        src = src or walk.get(deg) or GradedBasis(deg, [])
-        dst = dst or walk.get(deg - T_STEP) or GradedBasis(deg - T_STEP, [])
+        src = walk.get(deg) or GradedBasis(deg, [])
+        dst = walk.get(deg - T_STEP) or GradedBasis(deg - T_STEP, [])
     if not (src.keys and dst.keys):
         return IntegerMatrix(len(dst.keys), len(src.keys))
     if src.layout != dst.layout:

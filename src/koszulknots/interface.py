@@ -8,7 +8,7 @@ torsion disagree.
 
 from __future__ import annotations
 
-from .algebra import CoefficientRing, _Record, _is_prime, read_int
+from .algebra import CoefficientRing, _Record, _factors, _is_prime, read_int
 from .homology import HomologyTable, TableFormatError, _read_table
 
 
@@ -68,19 +68,8 @@ def parse_table(text: str) -> ExternalTable:
 
 def _prime_power_multiset(factors, primes=None):
     """Cyclic orders -> sorted prime-power list, optionally filtered."""
-    out = []
-    for rest in factors:
-        d = 2
-        while rest > 1:
-            d = d if d * d <= rest else rest
-            power = 1
-            while rest % d == 0:
-                rest //= d
-                power *= d
-            if power > 1 and (primes is None or d in primes):
-                out.append(power)
-            d += 1
-    return tuple(sorted(out))
+    return tuple(sorted(p ** k for n in factors for p, k in _factors(n)
+                        if primes is None or p in primes))
 
 
 class DiffReport(_Record):

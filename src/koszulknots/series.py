@@ -17,11 +17,15 @@ from bisect import bisect_right
 from collections import Counter, defaultdict
 from functools import cached_property, partial
 from heapq import heapify, heappop, heappush
+from operator import itemgetter
 
-from .algebra import (_Record, _frozen, _is_prime, exponent_range,
-                      exponent_rows, grading_functional)
+from .algebra import (_Record, _frozen, _is_prime, _signed_sum,
+                      exponent_range, exponent_rows, grading_functional)
 from .presentations import _D0_DATA, _PROJECTOR_GENS, _row, \
     stable_presentation
+
+
+_tqa = itemgetter(1, 0, 2)  # a (q, t, a) key in the (t, q, a) order
 
 
 class ExpansionError(ValueError):
@@ -105,36 +109,19 @@ class LaurentPoly:
         """Minimal monomial in the (t, q, a) order, with its coefficient."""
         if not self.terms:
             raise ValueError("zero polynomial has no least term")
-        m = min(self.terms, key=lambda m: (m[1], m[0], m[2]))
+        m = min(self.terms, key=_tqa)
         return m, self.terms[m]
 
     def max_term(self):
         if not self.terms:
             raise ValueError("zero polynomial has no greatest term")
-        m = max(self.terms, key=lambda m: (m[1], m[0], m[2]))
+        m = max(self.terms, key=_tqa)
         return m, self.terms[m]
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        def fmt(m, c):
-            q, t, a = m
-            body = "".join(s for s in (
-                f"q^{q}" if q else "", f"t^{t}" if t else "",
-                f"a^{a}" if a else ""))
-            if not body:
-                return str(c)
-            if c == 1:
-                return body
-            if c == -1:
-                return f"-{body}"
-            return f"{c}{body}"
-        parts = [fmt(m, self.terms[m])
-                 for m in sorted(self.terms, key=lambda m: (m[1], m[0], m[2]))]
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return _signed_sum((self.terms[m], "".join(
+            f"{s}^{e}" for s, e in zip("qta", m) if e))
+            for m in sorted(self.terms, key=_tqa))
 
 
 def qta(q: int = 0, t: int = 0, a: int = 0, coeff: int = 1) -> LaurentPoly:
@@ -672,7 +659,7 @@ def _finish(parts, shift_q) -> Assembly:
             if abs(c) != 1:
                 raise ValueError(f"denominator factor (c={c}, m={m}): "
                                  "c must be +-1 to be normalised")
-            if (m[1], m[0], m[2]) < (0, 0, 0):
+            if _tqa(m) < (0, 0, 0):
                 m = (-m[0], -m[1], -m[2])
                 weight = weight * qta(*m, coeff=-c)
             factors[(c, m)] += 1

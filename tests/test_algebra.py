@@ -2,13 +2,14 @@
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from koszulknots.algebra import (CoefficientRing, Degree, Monomial, QQ,
                                  StructuralError, SuperPolynomial, ZZ,
+                                 _factors, _is_prime, _signed_sum,
                                  grading_functional, mono_degree, mono_mul,
                                  prime_field, read_int)
 from koszulknots.certify import torsion_certificate_tp
@@ -107,6 +108,29 @@ def test_ring_is_field():
 def test_prime_field_requires_prime():
     with pytest.raises(ValueError):
         prime_field(6)
+
+
+def _trial_prime(p):
+    return p > 1 and all(p % d for d in range(2, isqrt(p) + 1))
+
+
+def test_factors_are_the_prime_powers_in_increasing_order():
+    for n in range(1, 3001):
+        got = list(_factors(n))
+        assert prod(p ** k for p, k in got) == n
+        assert all(_trial_prime(p) and k >= 1 for p, k in got)
+        assert [p for p, _k in got] == sorted({p for p, _k in got})
+    assert [list(_factors(n)) for n in (-6, 0, 1)] == [[], [], []]
+    assert list(_factors(2 ** 10 * 3 ** 4 * 101)) == [(2, 10), (3, 4),
+                                                       (101, 1)]
+
+
+def test_is_prime_stops_at_the_least_factor():
+    assert [p for p in range(-5, 3001) if _is_prime(p)] \
+        == [p for p in range(-5, 3001) if _trial_prime(p)]
+    # a full trial division of 2^127 - 1 would not finish
+    assert not _is_prime(3 * (2 ** 127 - 1))
+    assert not any(map(_is_prime, (2.0, True, "7", None)))
 
 
 def _compare_filtered_by(primes):
@@ -263,6 +287,30 @@ def test_text_rendering():
     p = SuperPolynomial(2, {Monomial((2, 0), (0,)): -3, Monomial((0, 1)): 1})
     s = p.text(pres)
     assert "x0" in s and "xi0" in s and "-3" in s
+
+
+@pytest.mark.parametrize("terms,sep,text", [
+    ([], "*", "0"),
+    ([(1, "")], "", "1"),
+    ([(-1, "")], "", "-1"),
+    ([(-1, "x")], "*", "-x"),
+    ([(-2, "x")], "*", "-2*x"),
+    ([(2, "x"), (1, "y"), (-1, "z"), (-3, "w"), (4, ""), (-5, "")], "*",
+     "2*x + y - z - 3*w + 4 - 5"),
+    ([(3, "q^1"), (-7, "t^2")], "", "3q^1 - 7t^2"),
+])
+def test_signed_sum_rules(terms, sep, text):
+    assert _signed_sum(terms, sep) == text
+
+
+def test_text_orders_terms_and_writes_powers():
+    pres = stable_presentation(3, 2)
+    p = SuperPolynomial(3, {Monomial((2, 0, 1), (0, 2)): -3,
+                            Monomial((0, 1, 0), (1,)): 1,
+                            Monomial((0, 0, 0)): -1,
+                            Monomial((1, 0, 0)): 2})
+    assert p.text(pres) == "-1 + 2*x0 + x1*xi1 - 3*x0^2*x2*xi0*xi2"
+    assert SuperPolynomial.zero(3).text(pres) == "0"
 
 
 # ---------------------------------------------------------------------------

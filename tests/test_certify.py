@@ -2,15 +2,17 @@
 
 import pytest
 
-from koszulknots.algebra import Degree, Monomial, SuperPolynomial, ZZ, \
+from koszulknots import certify
+from koszulknots.algebra import Degree, Monomial, QQ, SuperPolynomial, ZZ, \
     mono_degree
 from koszulknots.certify import (_NAMED_CLASSES, _named_poly,
                                  _relabeled_stable,
                                  generator_saturation_check,
                                  reduced_factorization_check, t_class,
                                  torsion_certificate_tp, verify_named_class)
-from koszulknots.homology import Window, homology_at
-from koszulknots.presentations import apply_d, stable_presentation
+from koszulknots.homology import Window, homology_at, homology_table
+from koszulknots.presentations import apply_d, reduced_presentation, \
+    stable_presentation
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +134,36 @@ def test_reduced_factorization(n, N):
 def test_reduced_factorization_requires_enough_strands():
     with pytest.raises(ValueError):
         reduced_factorization_check(2, 3, Window(0, 10, 0, 4))
+
+
+def test_reduced_factorization_names_its_mismatches(monkeypatch):
+    """With the stable (4, 2) table in place of the reduced one, the check
+    fails at the first five degrees where the two tables differ: the
+    product side equals the reduced table, as the passing check shows."""
+    window = Window(0, 40, 0, 8)
+    stable = homology_table(stable_presentation(4, 2), QQ, window)
+    reduced = homology_table(reduced_presentation(4, 2), QQ, window)
+    real = certify.homology_table
+    monkeypatch.setattr(certify, "homology_table", lambda pres, *a: (
+        stable if pres.name.startswith("reduced") else real(pres, *a)))
+    report = reduced_factorization_check(4, 2, window)
+    want = [f"{d}: {stable.rank_at(d)} vs {reduced.rank_at(d)}"
+            for d in window.degrees()
+            if stable.rank_at(d) != reduced.rank_at(d)]
+    assert not report.verdict and len(want) > 5
+    assert report.checks[0][2] == "; ".join(want[:5])
+    assert "[FAIL] reduced(4,2)" in report.text()
+
+
+def test_generator_saturation_names_the_unreached_classes(monkeypatch):
+    """With every mu_k zero only the x-monomials remain: mu_1 of degree
+    deg x_0 + deg xi_1 = (8, 3) and its x_1^k multiples are missed."""
+    monkeypatch.setattr(certify, "mu",
+                        lambda k, n, N: SuperPolynomial.zero(n))
+    report = generator_saturation_check(2, 2, Window(0, 32, 0, 8))
+    assert not report.verdict
+    assert report.checks[0][2] == "; ".join(
+        f"q^{8 + 4 * k} t^{3 + 2 * k}: span 0 < rank 1" for k in range(3))
 
 
 @pytest.mark.parametrize("n,N", [(2, 2), (2, 3), (3, 2)])

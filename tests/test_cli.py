@@ -6,7 +6,10 @@ import pytest
 
 from koszulknots import cli
 from koszulknots.cli import main
-from koszulknots.series import Assembly, assemble_torus3
+from koszulknots.algebra import QQ
+from koszulknots.homology import Window, homology_table
+from koszulknots.presentations import projector_presentation
+from koszulknots.series import Assembly, assemble_torus2, assemble_torus3
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -46,6 +49,15 @@ def test_homology_coeff_tags_agree(capsys):
     assert run(capsys, *args, "F3") == (0, out_fp, "")
     code, _out, err = run(capsys, *args, "R")
     assert code == 2 and "unknown coefficient tag" in err
+
+
+def test_homology_tableau_prints_the_library_table(capsys):
+    code, out, err = run(capsys, "homology", "--tableau", "[12,3]", "--N",
+                         "3", "--coeff", "Q", "--qmin", "-20", "--qmax", "20",
+                         "--tmin", "-4", "--tmax", "4")
+    assert (code, err) == (0, "")
+    assert out == homology_table(projector_presentation("[12,3]", 3), QQ,
+                                 Window(-20, 20, -4, 4)).serialize()
 
 
 def test_homology_usage_errors(capsys):
@@ -157,6 +169,14 @@ def test_series_torus3_reduced_trefoil(capsys):
     body = out.splitlines()[-1].replace(" ", "").replace("*", "")
     # q^4 (1 + q^4 t^2 + q^8 t^3), printed with the lowest term at 1
     assert body == "1+q^4t^2+q^8t^3"
+
+
+def test_series_torus2_prints_the_library_assembly(capsys):
+    code, out, err = run(capsys, "series", "--torus2", "7", "--N", "3")
+    asm = assemble_torus2(7, 3)
+    assert (code, err) == (0, "") and asm.shift_q is None
+    assert out == ("# polynomial: yes (nonnegative: True)\n"
+                   f"{asm.polynomial}\n")
 
 
 def test_series_torus3_homfly_prints_reduced_rational(capsys):

@@ -767,6 +767,19 @@ def test_d_matrix_rejects_keys_of_two_walks():
     assert d_matrix(pres, deg, src, empty).entries == {}
 
 
+def test_d_matrix_takes_both_bases_or_neither():
+    pres, deg = stable_presentation(4, 3), Degree(10, 3)
+    bases = window_bases(pres, Window(0, 12, 0, 4))
+    src, dst = bases[deg], bases[deg - T_STEP]
+    for one in ({"src": src}, {"dst": dst}):
+        with pytest.raises(ValueError, match="both bases or neither"):
+            d_matrix(pres, deg, **one)
+    got, want = d_matrix(pres, deg), d_matrix(pres, deg, src, dst)
+    assert want.entries
+    assert (got.rows, got.cols, got.entries) \
+        == (want.rows, want.cols, want.entries)
+
+
 def test_odd_codes_follow_tuple_order():
     """The odd code of S is its rank among the walk's odd parts in tuple
     order, so (1, 2) sorts between (1,) and (2,), and keys decode to the

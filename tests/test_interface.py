@@ -308,6 +308,17 @@ def test_compare_stays_inside_the_model_window():
     assert "agreement for t in [0, 8]" in report.text()
 
 
+def test_report_text_lists_ten_mismatches_and_counts_the_rest():
+    mismatches = [(t, 2 * t, (1, ()), (0, ())) for t in range(13)]
+    text = DiffReport(0, (0, 0), mismatches, 13, None).text()
+    lines = text.splitlines()
+    assert lines[:2] == ["comparison: shift q -> q + 0, 13 cells",
+                         "  first divergence at t=0, q=0"]
+    assert lines[2:12] == [f"    t={t}, q={2 * t}: model (1, ()), "
+                           "data (0, ())" for t in range(10)]
+    assert lines[12:] == ["    ... 3 more"]
+
+
 def _compare_per_cell(model, ext, shift="auto", torsion_primes=None):
     """compare as one loop over the union of the shifted model cells and the
     data cells, less its ring and prime checks: the per-cell reference."""

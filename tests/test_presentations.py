@@ -5,13 +5,17 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from koszulknots.algebra import Degree, Monomial, SuperPolynomial, mono_degree
+from koszulknots.algebra import (Degree, Monomial, StructuralError,
+                                 SuperPolynomial, mono_degree, mono_mul)
 from koszulknots.homology import Window, window_bases
 from koszulknots.presentations import (HOMFLY, PROJECTOR_SHAPES, Presentation,
                                        _PROJECTOR_GENS, apply_d, mu,
                                        projector_presentation,
                                        reduced_presentation,
                                        stable_presentation)
+from koszulknots.series import (ExpansionError, SeriesWindow,
+                                assemble_torus2, expand, projector_series,
+                                qta, rf_factored)
 
 T_DROP = Degree(0, -1, 0)
 
@@ -232,6 +236,28 @@ def test_projector_shapes_rejects_unknown():
 def test_d0_requires_supported_shape():
     with pytest.raises(ValueError):
         projector_presentation("[12]", 0)
+
+
+@pytest.mark.parametrize("call,error,match", [
+    (lambda: assemble_torus2(5, 0), ValueError, "no d0 decomposition"),
+    (lambda: expand(rf_factored(qta(0, 0, 1), (1, (2, 0))),
+                    SeriesWindow(0, 2, 0, 4)),
+     ExpansionError, "a-grading eliminated"),
+    (lambda: projector_series("[9]", 3), ValueError,
+     "unknown tableau shape '\\[9\\]'"),
+    (lambda: stable_presentation(0, 2), ValueError, "need n >= 1, got 0"),
+    (lambda: projector_presentation("[13,2]", 3, "guessed"), ValueError,
+     "unknown xi0 variant 'guessed'"),
+    (lambda: mu(0, 3, 2), ValueError, "need 1 <= k <= n-1, got k=0, n=3"),
+    (lambda: stable_presentation(2, 2).gen("nope"), KeyError, "nope"),
+    (lambda: mono_mul(Monomial((1,)), Monomial((1, 0))), StructuralError,
+     "different presentations"),
+], ids=["torus2_d0", "expand_a_graded", "projector_series_shape",
+        "stable_no_strands", "xi0_variant", "mu_k0", "gen_unknown",
+        "mono_mul_across"])
+def test_refusals(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 def test_displayed_xi0_variant_flags_inhomogeneity():
